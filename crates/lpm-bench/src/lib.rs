@@ -8,7 +8,7 @@ pub mod bench;
 use lpm_core::burst::{BurstStudy, DetectionResult};
 use lpm_core::design_space::{measure_config, HwConfig, TableIRow};
 use lpm_core::profile::{profile_suite, WorkloadProfile, FIG5_L1_SIZES};
-use lpm_core::sched::{evaluate_schedule, NucaLayout, ScheduleEvaluation, SchedulerKind};
+use lpm_core::sched::{evaluate_schedule, fig8_policies, NucaLayout, ScheduleEvaluation};
 use lpm_sim::SystemConfig;
 use lpm_trace::{Generator, SpecWorkload};
 
@@ -89,12 +89,7 @@ pub fn fig8_results(
 ) -> Vec<ScheduleEvaluation> {
     let layout = NucaLayout::fig5();
     let base = study_config();
-    let policies = [
-        SchedulerKind::Random { seed: 3 },
-        SchedulerKind::RoundRobin,
-        SchedulerKind::NucaSa { slack: 0.10 },
-        SchedulerKind::NucaSa { slack: 0.01 },
-    ];
+    let policies = fig8_policies(3);
     let mut out: Vec<Option<ScheduleEvaluation>> = (0..policies.len()).map(|_| None).collect();
     std::thread::scope(|s| {
         for (slot, kind) in out.iter_mut().zip(policies) {

@@ -32,33 +32,51 @@ impl ValidationRow {
     }
 }
 
-/// Validate Eq. (12) across a set of workloads at steady state.
+/// Validate Eq. (12) across a set of workloads at steady state, one
+/// thread per workload; rows come back in input order.
 pub fn validate_stall_model(
     workloads: &[SpecWorkload],
     instructions: usize,
     seed: u64,
 ) -> Vec<ValidationRow> {
-    let base = SystemConfig::default();
-    let mut rows = Vec::with_capacity(workloads.len());
-    for &w in workloads {
-        let trace = w.generator().generate(instructions, seed);
-        let mut sys = System::new_looping(base.clone(), trace, 10_000, seed);
-        let budget = instructions as u64 * 1200 + 2_000_000;
-        assert!(
-            sys.measure_steady(instructions as u64, instructions as u64, budget),
-            "{w} did not complete its measurement window"
-        );
-        let r = sys.report();
-        rows.push(ValidationRow {
-            workload: w,
-            measured: r.measured_stall(),
-            // lpm-lint: allow(P001) measure_steady asserted completion, so the report is measurable
-            predicted: r.predicted_stall_eq12().expect("measurable"),
-            lpmr1: r.lpmrs().expect("measurable").l1.value(), // lpm-lint: allow(P001) same completed window as above
-            overlap: r.core.overlap_ratio(),
-        });
+    let base = &SystemConfig::default();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = workloads
+            .iter()
+            .map(|&w| s.spawn(move || validate_one(w, base, instructions, seed)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
+fn validate_one(
+    w: SpecWorkload,
+    base: &SystemConfig,
+    instructions: usize,
+    seed: u64,
+) -> ValidationRow {
+    let trace = w.generator().generate(instructions, seed);
+    let mut sys = System::new_looping(base.clone(), trace, 10_000, seed);
+    let budget = instructions as u64 * 1200 + 2_000_000;
+    assert!(
+        sys.measure_steady(instructions as u64, instructions as u64, budget),
+        "{w} did not complete its measurement window"
+    );
+    let r = sys.report();
+    ValidationRow {
+        workload: w,
+        measured: r.measured_stall(),
+        // lpm-lint: allow(P001) measure_steady asserted completion, so the report is measurable
+        predicted: r.predicted_stall_eq12().expect("measurable"),
+        lpmr1: r.lpmrs().expect("measurable").l1.value(), // lpm-lint: allow(P001) same completed window as above
+        overlap: r.core.overlap_ratio(),
     }
-    rows
 }
 
 /// Aggregate accuracy over a validation set: mean and max relative error,
@@ -118,6 +136,23 @@ pub fn summarize(rows: &[ValidationRow]) -> ValidationSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parallel_rows_keep_input_order_and_match_single_runs() {
+        let ws = [
+            SpecWorkload::McfLike,
+            SpecWorkload::Bzip2Like,
+            SpecWorkload::McfLike,
+        ];
+        let rows = validate_stall_model(&ws, 4_000, 9);
+        assert_eq!(rows.len(), ws.len());
+        for (row, &w) in rows.iter().zip(&ws) {
+            let alone = &validate_stall_model(&[w], 4_000, 9)[0];
+            assert_eq!(row.workload, w);
+            assert_eq!(row.measured.to_bits(), alone.measured.to_bits());
+            assert_eq!(row.predicted.to_bits(), alone.predicted.to_bits());
+        }
+    }
 
     #[test]
     fn eq12_tracks_ground_truth_across_diverse_workloads() {

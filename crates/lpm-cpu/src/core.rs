@@ -94,8 +94,16 @@ enum State {
 struct RobEntry {
     seq: u64,
     op: Op,
-    dep_seq: Option<u64>,
     state: State,
+}
+
+/// An issue-queue entry: a `Waiting` instruction and the sequence number
+/// of the instruction it depends on, if any.
+#[derive(Debug, Clone, Copy)]
+struct IqEntry {
+    seq: u64,
+    op: Op,
+    dep: Option<u64>,
 }
 
 /// Measured core-side quantities.
@@ -198,13 +206,14 @@ pub struct Core {
     /// in flight). Updated at issue, recomputed when completions drain —
     /// turns the per-cycle "anything due?" checks into one comparison.
     exec_min_done: u64,
-    /// ROB entries currently in `State::Waiting` (incremental count;
-    /// bounds the issue scan and replaces the per-cycle recount).
-    waiting: u32,
-    /// Cursor: no ROB entry with a sequence number below this is
-    /// `Waiting`, so issue scans start here instead of at the head. A
-    /// lower bound, maintained at issue and dispatch.
-    first_waiting_seq: u64,
+    /// The issue queue: exactly the `Waiting` ROB entries, in sequence
+    /// order. Dispatch pushes, issue removes in place.
+    iq: Vec<IqEntry>,
+    /// Ring bitmap of `Done` ROB entries, indexed by `seq` modulo its
+    /// size: set at every transition to `Done`, cleared at dispatch. Its
+    /// size is a power of two no smaller than the ROB (regrown by
+    /// `reconfigure`), so a live entry owns its bit.
+    done: Vec<u64>,
     /// Memoized idle verdict: `true` means the *state-based* clauses of
     /// [`Core::can_act`] (retirable head, issuable Waiting entry,
     /// dispatch room) were checked and found false, and no state has
@@ -245,8 +254,8 @@ impl Core {
             compute_done_this_cycle: false,
             executing: Vec::new(),
             exec_min_done: u64::MAX,
-            waiting: 0,
-            first_waiting_seq: 0,
+            iq: Vec::with_capacity(cfg.iw_size as usize),
+            done: vec![0; ring_words(cfg.rob_size as usize)],
             idle_memo: std::cell::Cell::new(false),
         }
     }
@@ -278,6 +287,15 @@ impl Core {
     pub fn reconfigure(&mut self, cfg: CoreConfig) {
         cfg.validate();
         self.cfg = cfg;
+        let words = ring_words((cfg.rob_size as usize).max(self.rob.len()));
+        if words > self.done.len() {
+            self.done = vec![0; words];
+            for i in 0..self.rob.len() {
+                if self.rob[i].state == State::Done {
+                    self.set_done(self.rob[i].seq);
+                }
+            }
+        }
         // Grown structures (ROB, issue window, store buffer) can make a
         // previously inert core actionable again.
         self.idle_memo.set(false);
@@ -319,45 +337,50 @@ impl Core {
     }
 
     /// Deliver a memory completion for instruction `id` (the sequence
-    /// number passed to the port). Unknown ids (e.g. posted stores already
-    /// retired) are ignored.
+    /// number passed to the port). Unknown ids (never issued, or already
+    /// completed) are ignored and change no state.
     pub fn complete_mem(&mut self, id: u64) {
+        if let Some(i) = self.posted_stores.iter().position(|&p| p == id) {
+            // A posted store's write landed; nothing waits on it.
+            self.posted_stores.swap_remove(i);
+        } else {
+            let head_seq = self.rob.front().map_or(0, |e| e.seq);
+            match id
+                .checked_sub(head_seq)
+                .and_then(|idx| self.rob.get_mut(idx as usize))
+            {
+                Some(e) if e.seq == id && e.state == State::WaitingMem => e.state = State::Done,
+                _ => return,
+            }
+            self.set_done(id);
+        }
+        self.outstanding_mem -= 1;
         // A completion can ready a dependent or free a store-buffer
         // slot: any cached idle verdict is stale.
         self.idle_memo.set(false);
-        if self.outstanding_mem > 0 {
-            self.outstanding_mem -= 1;
-        }
-        if let Some(i) = self.posted_stores.iter().position(|&p| p == id) {
-            self.posted_stores.swap_remove(i);
-            return; // a posted store's write landed; nothing waits on it
-        }
-        if let Some(head_seq) = self.rob.front().map(|e| e.seq) {
-            if id >= head_seq {
-                let idx = (id - head_seq) as usize;
-                if let Some(e) = self.rob.get_mut(idx) {
-                    if e.seq == id && e.state == State::WaitingMem {
-                        e.state = State::Done;
-                    }
-                }
-            }
-        }
     }
 
-    /// Whether a dependence on `dep_seq` is satisfied, given the current
-    /// ROB head sequence number (the issue scan re-checks dependences
-    /// for up to `iw_size` entries per cycle; taking the head as an
-    /// argument hoists its lookup out of that loop).
+    /// Word index and bit mask of `seq` in the done ring.
     #[inline]
-    fn dep_ready_at(&self, dep_seq: u64, head_seq: u64) -> bool {
-        if dep_seq < head_seq {
-            return true; // retired
-        }
-        let idx = (dep_seq - head_seq) as usize;
-        match self.rob.get(idx) {
-            Some(e) => e.state == State::Done,
-            None => true,
-        }
+    fn done_bit(&self, seq: u64) -> (usize, u64) {
+        ((seq >> 6) as usize & (self.done.len() - 1), 1 << (seq & 63))
+    }
+
+    fn set_done(&mut self, seq: u64) {
+        let (word, bit) = self.done_bit(seq);
+        self.done[word] |= bit;
+    }
+
+    /// Whether a dependence is satisfied: none, retired (below the ROB
+    /// head `head_seq`), or `Done` in the ROB.
+    #[inline]
+    fn dep_ready(&self, dep: Option<u64>, head_seq: u64) -> bool {
+        dep.is_none_or(|d| {
+            d < head_seq || {
+                let (word, bit) = self.done_bit(d);
+                self.done[word] & bit != 0
+            }
+        })
     }
 
     /// Whether [`Core::cycle`] at `now` could do anything beyond the
@@ -385,41 +408,18 @@ impl Core {
         if matches!(self.rob.front(), Some(e) if e.state == State::Done) {
             return true;
         }
-        // Step 3: mirror the issue scan. Any ready Waiting entry that
-        // would issue a compute or attempt the port acts this cycle.
-        // Starts at the first-Waiting cursor and stops once every
-        // Waiting entry has been considered — the entries skipped either
-        // way are non-Waiting, so the considered set is identical to a
-        // full head-to-tail scan.
-        if self.waiting > 0 {
-            let head_seq = self.rob.front().map_or(0, |e| e.seq);
-            let mut idx = self.first_waiting_seq.saturating_sub(head_seq) as usize;
-            let mut considered = 0u32;
-            let mut remaining = self.waiting;
-            while idx < self.rob.len() && considered < self.cfg.iw_size && remaining > 0 {
-                let e = &self.rob[idx];
-                idx += 1;
-                if e.state != State::Waiting {
-                    continue;
-                }
-                remaining -= 1;
-                considered += 1;
-                if !e.dep_seq.is_none_or(|d| self.dep_ready_at(d, head_seq)) {
-                    continue;
-                }
-                match e.op {
-                    Op::Compute | Op::Load(_) => return true,
-                    Op::Store(_) => {
-                        if self.posted_stores.len() < self.cfg.store_buffer as usize {
-                            return true;
-                        }
-                    }
-                }
-            }
+        // Step 3: mirror the issue scan. Any ready entry in the window
+        // that would issue a compute or attempt the port acts this cycle.
+        let head_seq = self.rob.front().map_or(0, |e| e.seq);
+        let store_room = self.posted_stores.len() < self.cfg.store_buffer as usize;
+        if self.iq.iter().take(self.cfg.iw_size as usize).any(|e| {
+            (store_room || !matches!(e.op, Op::Store(_))) && self.dep_ready(e.dep, head_seq)
+        }) {
+            return true;
         }
         // Step 4: dispatch possible.
         let dispatchable = self.rob.len() < self.cfg.rob_size as usize
-            && self.cfg.iw_size.saturating_sub(self.waiting) > 0
+            && self.iq.len() < self.cfg.iw_size as usize
             && self.next_dispatch < self.total_instructions;
         if !dispatchable {
             // Every state-based clause is false: cache the verdict so
@@ -491,6 +491,7 @@ impl Core {
                 let (done_at, seq) = self.executing[i];
                 if done_at <= now {
                     self.rob[(seq - head_seq) as usize].state = State::Done;
+                    self.set_done(seq);
                     self.compute_done_this_cycle = true;
                     self.executing.swap_remove(i);
                 } else {
@@ -519,92 +520,68 @@ impl Core {
             retired_this_cycle += 1;
         }
 
-        // 3. Issue: scan the first `iw_size` un-issued entries in ROB
-        // order; issue up to `issue_width` whose dependences are ready.
-        // The scan starts at the first-Waiting cursor and stops once
-        // every Waiting entry has been seen — identical decisions to a
-        // head-to-tail scan, without walking the issued prefix.
-        let mut issued = 0u32;
-        let mut considered = 0u32;
+        // 3. Issue: walk the first `iw_size` issue-queue entries in
+        // sequence order; issue up to `issue_width` whose dependences are
+        // ready. Issued entries leave the queue; the rest stay in order.
         let head_seq = self.rob.front().map_or(0, |e| e.seq);
-        let mut idx = self.first_waiting_seq.saturating_sub(head_seq) as usize;
-        let mut remaining = self.waiting;
-        let mut still_waiting: Option<u64> = None;
-        while idx < self.rob.len()
-            && issued < self.cfg.issue_width
-            && considered < self.cfg.iw_size
-            && remaining > 0
-        {
-            let (seq, op, dep_seq, state) = {
-                let e = &self.rob[idx];
-                (e.seq, e.op, e.dep_seq, e.state)
-            };
-            if state == State::Waiting {
-                remaining -= 1;
-                considered += 1;
-                let ready = dep_seq.is_none_or(|d| self.dep_ready_at(d, head_seq));
-                if ready {
-                    match op {
-                        Op::Compute => {
-                            self.rob[idx].state = State::Executing(now + self.cfg.compute_latency);
-                            self.executing.push((now + self.cfg.compute_latency, seq));
-                            self.exec_min_done =
-                                self.exec_min_done.min(now + self.cfg.compute_latency);
-                            self.waiting -= 1;
-                            issued += 1;
-                        }
-                        Op::Load(addr) | Op::Store(addr) => {
-                            let is_store = matches!(op, Op::Store(_));
-                            if is_store
-                                && self.posted_stores.len() >= self.cfg.store_buffer as usize
-                            {
-                                // Store buffer full: structural stall, the
-                                // store waits without consuming the slot.
-                                if still_waiting.is_none() {
-                                    still_waiting = Some(seq);
-                                }
-                                idx += 1;
-                                continue;
-                            }
-                            if mem.try_access(now, seq, addr, is_store) {
+        let mut issued = 0u32;
+        let mut kept = 0;
+        let mut idx = 0;
+        while idx < self.iq.len().min(self.cfg.iw_size as usize) && issued < self.cfg.issue_width {
+            let e = self.iq[idx];
+            idx += 1;
+            let rob_idx = (e.seq - head_seq) as usize;
+            let leaves = self.dep_ready(e.dep, head_seq)
+                && match e.op {
+                    Op::Compute => {
+                        let done_at = now + self.cfg.compute_latency;
+                        self.rob[rob_idx].state = State::Executing(done_at);
+                        self.executing.push((done_at, e.seq));
+                        self.exec_min_done = self.exec_min_done.min(done_at);
+                        issued += 1;
+                        true
+                    }
+                    // Store buffer full: structural stall, the store
+                    // waits without consuming the slot.
+                    Op::Store(_) if self.posted_stores.len() >= self.cfg.store_buffer as usize => {
+                        false
+                    }
+                    Op::Load(addr) | Op::Store(addr) => {
+                        let is_store = matches!(e.op, Op::Store(_));
+                        // Accepted or not, the attempt uses a slot.
+                        issued += 1;
+                        if !mem.try_access(now, e.seq, addr, is_store) {
+                            self.stats.mem_rejects += 1;
+                            false
+                        } else {
+                            self.outstanding_mem += 1;
+                            self.stats.mem_issued += 1;
+                            if is_store {
                                 // Stores are posted: they drain through a
                                 // write buffer and never block retirement.
-                                // Loads wait for their data.
-                                self.rob[idx].state = if is_store {
-                                    self.posted_stores.push(seq);
-                                    State::Done
-                                } else {
-                                    State::WaitingMem
-                                };
-                                self.waiting -= 1;
-                                self.outstanding_mem += 1;
-                                self.stats.mem_issued += 1;
+                                self.posted_stores.push(e.seq);
+                                self.rob[rob_idx].state = State::Done;
+                                self.set_done(e.seq);
                             } else {
-                                self.stats.mem_rejects += 1;
-                                if still_waiting.is_none() {
-                                    still_waiting = Some(seq);
-                                }
+                                // Loads wait for their data.
+                                self.rob[rob_idx].state = State::WaitingMem;
                             }
-                            // Accepted or not, the attempt used a slot.
-                            issued += 1;
+                            true
                         }
                     }
-                } else if still_waiting.is_none() {
-                    still_waiting = Some(seq);
-                }
+                };
+            if !leaves {
+                self.iq[kept] = e;
+                kept += 1;
             }
-            idx += 1;
         }
-        // Entries before `idx` that stayed Waiting are tracked in
-        // `still_waiting`; anything at or past `idx` was not examined.
-        self.first_waiting_seq = still_waiting.unwrap_or(head_seq + idx as u64);
+        self.iq.drain(kept..idx);
 
         // 4. Dispatch from the trace.
         let mut dispatched = 0u32;
-        let mut iw_free = self.cfg.iw_size.saturating_sub(self.waiting);
         while dispatched < self.cfg.issue_width
             && self.rob.len() < self.cfg.rob_size as usize
-            && iw_free > 0
+            && self.iq.len() < self.cfg.iw_size as usize
             && self.next_dispatch < self.total_instructions
         {
             let i = self.trace.instrs()[self.trace_cursor];
@@ -613,25 +590,17 @@ impl Core {
                 self.trace_cursor = 0;
             }
             let seq = self.next_dispatch as u64;
-            let dep_seq = if i.dep > 0 && (i.dep as u64) <= seq {
-                Some(seq - i.dep as u64)
-            } else {
-                None
-            };
+            let dep = (i.dep > 0 && u64::from(i.dep) <= seq).then(|| seq - u64::from(i.dep));
             self.rob.push_back(RobEntry {
                 seq,
                 op: i.op,
-                dep_seq,
                 state: State::Waiting,
             });
-            if self.waiting == 0 {
-                // First Waiting entry again: the cursor is exact.
-                self.first_waiting_seq = seq;
-            }
-            self.waiting += 1;
+            self.iq.push(IqEntry { seq, op: i.op, dep });
+            let (word, bit) = self.done_bit(seq);
+            self.done[word] &= !bit;
             self.next_dispatch += 1;
             dispatched += 1;
-            iw_free -= 1;
         }
 
         // The events above are exactly what can invalidate a cached
@@ -655,6 +624,12 @@ impl Core {
             }
         }
     }
+}
+
+/// 64-bit words in a done ring covering `entries` live ROB entries: a
+/// power of two, so the ring wraps with a mask.
+fn ring_words(entries: usize) -> usize {
+    entries.div_ceil(64).next_power_of_two()
 }
 
 #[cfg(test)]
@@ -947,6 +922,153 @@ mod tests {
             assert!(now < 10_000, "cores did not finish");
         }
         assert_eq!(per_cycle.stats(), skipped.stats());
+    }
+
+    /// A port that accepts at most `per_cycle` accesses each cycle and
+    /// rejects the rest (exercises rejected issue attempts).
+    struct Throttled {
+        inner: PerfectMemory,
+        per_cycle: u32,
+        cycle: u64,
+        used: u32,
+    }
+
+    impl MemoryPort for Throttled {
+        fn try_access(&mut self, now: u64, id: u64, addr: u64, is_store: bool) -> bool {
+            if now != self.cycle {
+                self.cycle = now;
+                self.used = 0;
+            }
+            if self.used == self.per_cycle {
+                return false;
+            }
+            self.used += 1;
+            self.inner.try_access(now, id, addr, is_store)
+        }
+    }
+
+    /// Fold one cycle's stats into an FNV-1a digest.
+    fn fold_stats(h: &mut u64, s: &CoreStats) {
+        for v in [
+            s.cycles,
+            s.retired,
+            s.mem_retired,
+            s.data_stall_cycles,
+            s.mem_busy_cycles,
+            s.overlap_cycles,
+            s.mem_issued,
+            s.mem_rejects,
+        ] {
+            for b in v.to_le_bytes() {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// `reconfigure` mid-run: shrink the issue window below the number of
+    /// waiting entries (the `considered < iw_size` window bounds the scan
+    /// while dispatch pauses), then grow the ROB and window well past the
+    /// initial ROB. Per-cycle stats are pinned by a digest and the phase
+    /// boundaries by full snapshots.
+    #[test]
+    fn reconfigure_mid_run_shrinks_then_grows() {
+        let trace: Trace = (0..900u64)
+            .map(|i| match i % 10 {
+                0 | 6 => Instr::load(i * 64),
+                3 => Instr::load(i * 64).depending_on(3),
+                4 | 8 => Instr::store(i * 64).depending_on(1),
+                _ => Instr::compute().depending_on((i % 3 + 1) as u32),
+            })
+            .collect();
+        let initial = CoreConfig {
+            issue_width: 4,
+            iw_size: 16,
+            rob_size: 24,
+            compute_latency: 2,
+            store_buffer: 2,
+        };
+        let mut core = Core::new(initial, trace);
+        let mut mem = Throttled {
+            inner: PerfectMemory::new(30),
+            per_cycle: 2,
+            cycle: 0,
+            used: 0,
+        };
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut now = 0u64;
+        let mut step = |core: &mut Core, now: &mut u64| {
+            for id in mem.inner.take_completions(*now) {
+                core.complete_mem(id);
+            }
+            // Poll like the fast path does, so the idle memo is live too.
+            core.can_act(*now);
+            core.cycle(*now, &mut mem);
+            fold_stats(&mut digest, core.stats());
+            *now += 1;
+        };
+        for _ in 0..40 {
+            step(&mut core, &mut now);
+        }
+        let waiting = core.iq.len();
+        assert!(waiting > 2, "only {waiting} waiting entries at the shrink");
+        let phase1 = *core.stats();
+        core.reconfigure(CoreConfig {
+            iw_size: 2,
+            ..initial
+        });
+        for _ in 0..80 {
+            step(&mut core, &mut now);
+        }
+        let phase2 = *core.stats();
+        core.reconfigure(CoreConfig {
+            issue_width: 6,
+            iw_size: 96,
+            rob_size: 160,
+            compute_latency: 2,
+            store_buffer: 4,
+        });
+        while !core.finished() {
+            step(&mut core, &mut now);
+            assert!(now < 20_000, "core did not finish");
+        }
+        let end = *core.stats();
+        let snapshot = |s: CoreStats| {
+            [
+                s.cycles,
+                s.retired,
+                s.mem_retired,
+                s.data_stall_cycles,
+                s.mem_busy_cycles,
+                s.overlap_cycles,
+                s.mem_issued,
+                s.mem_rejects,
+            ]
+        };
+        assert_eq!(snapshot(phase1), [40, 3, 1, 38, 39, 6, 10, 0]);
+        assert_eq!(snapshot(phase2), [120, 28, 14, 59, 119, 14, 15, 0]);
+        assert_eq!(snapshot(end), [1447, 900, 450, 115, 1446, 272, 450, 3]);
+        assert_eq!(digest, 0x72a2_c21e_77cf_8f96);
+    }
+
+    #[test]
+    fn complete_mem_ignores_unknown_ids() {
+        let trace: Trace = [Instr::load(0), Instr::load(64)].into_iter().collect();
+        let mut core = Core::new(CoreConfig::small(), trace);
+        let mut mem = PerfectMemory::new(1_000_000);
+        core.cycle(0, &mut mem); // dispatch both loads
+        core.cycle(1, &mut mem); // issue both
+        assert_eq!(core.outstanding_mem, 2);
+        assert!(!core.can_act(2), "both loads in flight, nothing to do");
+        for unknown in [7, 2, u64::MAX] {
+            core.complete_mem(unknown);
+        }
+        assert_eq!(core.outstanding_mem, 2);
+        assert!(core.idle_memo.get(), "an unknown id must change no state");
+        core.complete_mem(0);
+        core.complete_mem(0); // a repeated completion is unknown too
+        assert_eq!(core.outstanding_mem, 1);
+        assert!(core.can_act(2), "the completed head can retire");
     }
 
     #[test]
