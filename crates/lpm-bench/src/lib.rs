@@ -1,9 +1,10 @@
 //! Shared experiment harness: every table and figure of the paper has one
-//! function here that regenerates it. The `repro_*` binaries print the
-//! results; the Criterion benches time them at reduced scale; and
-//! EXPERIMENTS.md records the paper-vs-measured comparison.
+//! function here that regenerates it. [`repro`] renders the results for
+//! `lpm-cli repro`; [`bench`] is the perf suite behind `lpm-cli bench`;
+//! and EXPERIMENTS.md records the paper-vs-measured comparison.
 
 pub mod bench;
+pub mod repro;
 
 use lpm_core::burst::{BurstStudy, DetectionResult};
 use lpm_core::design_space::{measure_config, HwConfig, TableIRow};
@@ -17,7 +18,7 @@ use lpm_trace::{Generator, SpecWorkload};
 /// after one working-set lap, so tens of thousands suffice per window).
 pub const FULL_INSTRUCTIONS: usize = 60_000;
 
-/// Default seed used by all repro binaries.
+/// Seed of the paper-figure drivers behind `lpm-cli repro`.
 pub const SEED: u64 = 7;
 
 /// The base configuration for the 16-core scheduling study: shared

@@ -3,7 +3,7 @@
 //! ```text
 //! lpm workloads                             list the SPEC-like suite
 //! lpm run --workload gcc-like [...]         simulate + full LPM report
-//! lpm table1 [--instructions N]             the Table I experiment
+//! lpm repro TARGET [--instructions N]       regenerate a paper table/figure
 //! lpm explore --workload X [--grain 0.3]    LPM-guided design-space search
 //! lpm online --workload X [--interval N]    online interval-driven adaptation
 //! lpm help                                  this text
@@ -12,7 +12,7 @@
 mod args;
 
 use args::Args;
-use lpm_core::design_space::{measure_config, DesignSpaceExplorer, HwConfig};
+use lpm_core::design_space::{DesignSpaceExplorer, HwConfig};
 use lpm_core::online::OnlineLpmController;
 use lpm_core::optimizer::{run_lpm_loop, LpmOptimizer};
 use lpm_harness::{run_sweep_with, ChaosConfig, FaultClass, SweepOptions, SweepSpec};
@@ -64,7 +64,7 @@ fn run(raw: &[String]) -> Result<u8, String> {
         }
         "run" => cmd_run(&a).map(|()| 0),
         "trace-dump" => cmd_trace_dump(&a).map(|()| 0),
-        "table1" => cmd_table1(&a).map(|()| 0),
+        "repro" => cmd_repro(&a).map(|()| 0),
         "explore" => cmd_explore(&a).map(|()| 0),
         "online" => cmd_online(&a).map(|()| 0),
         "sweep" => cmd_sweep(&a),
@@ -85,7 +85,10 @@ fn print_help() {
          \x20 run     --workload NAME          simulate and print the full LPM report\n\
          \x20 run     --trace FILE             simulate a trace file instead of a generator\n\
          \x20 trace-dump --workload NAME --out FILE   dump a generated trace to a file\n\
-         \x20 table1                           regenerate Table I (configs A–E on bwaves-like)\n\
+         \x20 repro   TARGET                   regenerate a paper result: fig1|table1|fig6|fig7|\n\
+         \x20                                  fig8|intervals|validation|ablation|all (window:\n\
+         \x20                                  --instructions, default 60000 for table1, 6000 for\n\
+         \x20                                  ablation, 30000 otherwise; fig1/intervals take none)\n\
          \x20 explore --workload NAME          LPM-guided design-space exploration from config A\n\
          \x20 online  --workload NAME          online interval-driven adaptation\n\
          \x20 sweep   [--jobs N]               parallel sweep over configs × workloads × seeds\n\
@@ -264,7 +267,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
     if !a.has("quiet") {
         eprintln!("simulating {label} for {n} instructions (half warmup) ...");
     }
-    let mut sys = System::new(cfg, trace, seed);
+    let mut sys = System::try_new(cfg, trace, seed).map_err(|e| e.to_string())?;
     if !sys.run_with_warmup(n as u64 / 2, n as u64 * 2000 + 10_000_000) {
         return Err("trace did not drain within the cycle budget".into());
     }
@@ -317,27 +320,19 @@ fn cmd_run(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_table1(a: &Args) -> Result<(), String> {
-    let n = a.int_or("instructions", 60_000)? as usize;
-    let seed = a.int_or("seed", 7)?;
-    let trace = SpecWorkload::BwavesLike.generator().generate(n, 11);
-    let base = SystemConfig::default();
-    println!(
-        "{:<6} {:>6} {:>6} {:>6} {:>10} {:>6}",
-        "config", "LPMR1", "LPMR2", "LPMR3", "stall/exe", "IPC"
-    );
-    for (label, hw) in HwConfig::TABLE_I {
-        let row = measure_config(label, hw, &base, &trace, seed);
-        println!(
-            "{:<6} {:>6.2} {:>6.2} {:>6.2} {:>9.1}% {:>6.2}",
-            row.label,
-            row.lpmr1,
-            row.lpmr2,
-            row.lpmr3,
-            row.stall_over_cpi_exe * 100.0,
-            row.ipc
-        );
-    }
+/// Regenerate one paper result (or all of them) on stdout.
+fn cmd_repro(a: &Args) -> Result<(), String> {
+    let target = a.positional.first().ok_or_else(|| {
+        format!(
+            "missing repro target; use {}",
+            lpm_bench::repro::TARGETS.join("|")
+        )
+    })?;
+    let instructions = match a.options.get("instructions") {
+        Some(_) => Some(a.positive_int_or("instructions", 0)? as usize),
+        None => None,
+    };
+    print!("{}", lpm_bench::repro::render(target, instructions)?);
     Ok(())
 }
 
@@ -351,7 +346,8 @@ fn cmd_explore(a: &Args) -> Result<(), String> {
     } else {
         DesignSpaceExplorer::new(HwConfig::A, SystemConfig::default(), trace, grain, seed)
     };
-    let out = run_lpm_loop(&mut ex, &LpmOptimizer::default(), 16);
+    let out = run_lpm_loop(&mut ex, &LpmOptimizer::default(), 16)
+        .map_err(|e| format!("exploration failed: {e}"))?;
     for (i, s) in out.steps.iter().enumerate() {
         println!(
             "step {i}: LPMR1={:.2} (T1={:.2}) LPMR2={:.2} (T2={:.2}) → {:?}",
@@ -1031,6 +1027,78 @@ mod tests {
             "8M",
         ]))
         .unwrap();
+    }
+
+    #[test]
+    fn run_rejects_a_zero_l1_size() {
+        let e = run(&sv(&[
+            "run",
+            "--workload",
+            "mcf",
+            "--l1-size",
+            "0",
+            "--quiet",
+        ]))
+        .unwrap_err();
+        assert!(
+            e.contains("invalid configuration") && e.contains("got 0"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn run_rejects_a_non_power_of_two_l1_size() {
+        let e = run(&sv(&[
+            "run",
+            "--workload",
+            "mcf",
+            "--l1-size",
+            "3K",
+            "--quiet",
+        ]))
+        .unwrap_err();
+        assert!(e.contains("power of two") && e.contains("3072"), "{e}");
+    }
+
+    #[test]
+    fn explore_with_a_one_instruction_window_is_an_error_not_a_panic() {
+        let mut failed = 0;
+        for w in SpecWorkload::ALL {
+            if let Err(e) = run(&sv(&[
+                "explore",
+                "--workload",
+                w.name(),
+                "--instructions",
+                "1",
+            ])) {
+                assert!(e.contains("exploration failed"), "{w}: {e}");
+                failed += 1;
+            }
+        }
+        assert!(failed > 0, "no workload hit the accessless window");
+    }
+
+    #[test]
+    fn explore_with_accessless_short_windows_is_an_error() {
+        for w in ["gamess", "lbm"] {
+            for n in ["2", "3"] {
+                let e = run(&sv(&["explore", "--workload", w, "--instructions", n])).unwrap_err();
+                assert!(e.contains("zero accesses"), "{w} at {n}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn repro_rejects_zero_instructions_and_unknown_targets() {
+        let e = run(&sv(&["repro", "fig6", "--instructions", "0"])).unwrap_err();
+        assert!(
+            e.contains("--instructions") && e.contains("positive"),
+            "{e}"
+        );
+        let e = run(&sv(&["repro", "fig9"])).unwrap_err();
+        assert!(e.contains("unknown repro target"), "{e}");
+        let e = run(&sv(&["repro"])).unwrap_err();
+        assert!(e.contains("missing repro target"), "{e}");
     }
 
     #[test]

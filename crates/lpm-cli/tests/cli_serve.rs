@@ -1,8 +1,8 @@
 //! Cross-process serve soak through the real `lpm-cli` binary: SIGTERM
 //! a serving daemon mid-sweep (graceful drain + checkpoint), SIGKILL
-//! its successor (rude death), restart, and assert the resumed report
-//! is byte-identical to an uninterrupted serial `lpm sweep` of the same
-//! flags. The in-process variants of these phases live in
+//! its successor (rude death), restart, and assert that each resumed
+//! report — a clean job and a faulted one — is byte-identical to an
+//! uninterrupted serial `lpm sweep` of the same flags. The in-process variants of these phases live in
 //! `lpm-serve/tests/serve_e2e.rs`; this test is the one that crosses a
 //! real process boundary with real signals.
 
@@ -59,49 +59,84 @@ fn spawn_serve(state: &Path) -> Child {
     panic!("lpm-cli serve never answered a ping within 10s");
 }
 
+/// The faulted job of the soak: the same small spec in a distinct seed
+/// range, with a faulted sibling next to every clean point.
+const FAULTED_SPEC_FLAGS: &[&str] = &[
+    "--configs",
+    "A",
+    "--workloads",
+    "bwaves",
+    "--seeds",
+    "100,101,102",
+    "--instructions",
+    "30000",
+    "--intervals",
+    "3",
+    "--interval",
+    "5000",
+    "--warmup",
+    "5000",
+    "--faults",
+    "all",
+    "--fault-seeds",
+    "42",
+];
+
+/// Run `lpm-cli` to success and return its stdout.
+fn cli(args: &[&str], extra: &[&Path]) -> String {
+    let out = Command::new(BIN)
+        .args(args)
+        .args(extra)
+        .output()
+        .expect("run lpm-cli");
+    assert!(
+        out.status.success(),
+        "lpm-cli {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
 #[test]
 fn sigterm_then_sigkill_then_resume_is_byte_identical() {
     let dir = std::env::temp_dir().join(format!("lpm-cli-serve-soak-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let state = dir.join("state");
-    let ref_path = dir.join("ref.jsonl");
+    let state_s = state.to_str().unwrap();
+    let jobs = [SPEC_FLAGS, FAULTED_SPEC_FLAGS];
 
-    // Uninterrupted serial reference through the CLI itself.
-    let out = Command::new(BIN)
-        .arg("sweep")
-        .args(SPEC_FLAGS)
-        .args(["--jobs", "1", "--quiet", "--telemetry-out"])
-        .arg(&ref_path)
-        .output()
-        .expect("run reference sweep");
-    assert!(
-        out.status.success(),
-        "reference sweep failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let reference = std::fs::read_to_string(&ref_path).unwrap();
+    // Uninterrupted serial references through the CLI itself.
+    let references: Vec<String> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, flags)| {
+            let path = dir.join(format!("ref{i}.jsonl"));
+            let mut args = vec!["sweep"];
+            args.extend_from_slice(flags);
+            args.extend(["--jobs", "1", "--quiet", "--telemetry-out"]);
+            cli(&args, &[&path]);
+            std::fs::read_to_string(&path).unwrap()
+        })
+        .collect();
 
-    // Server #1: submit through `lpm-cli client`, then SIGTERM it
-    // mid-sweep — it must drain, journal, and exit cleanly.
+    // Server #1: submit both jobs through `lpm-cli client`, then SIGTERM
+    // it mid-sweep — it must drain, journal, and exit cleanly.
     let mut child = spawn_serve(&state);
-    let out = Command::new(BIN)
-        .args(["client", "submit", "--state", state.to_str().unwrap()])
-        .args(SPEC_FLAGS)
-        .output()
-        .expect("run client submit");
-    assert!(
-        out.status.success(),
-        "submit failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let resp = Value::parse(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
-    assert_eq!(
-        resp.get("ok").and_then(Value::as_bool),
-        Some(true),
-        "{resp:?}"
-    );
-    let id = resp.get("id").and_then(Value::as_str).unwrap().to_string();
+    let ids: Vec<String> = jobs
+        .iter()
+        .map(|flags| {
+            let mut args = vec!["client", "submit", "--state", state_s];
+            args.extend_from_slice(flags);
+            let resp = Value::parse(cli(&args, &[]).trim()).unwrap();
+            assert_eq!(
+                resp.get("ok").and_then(Value::as_bool),
+                Some(true),
+                "{resp:?}"
+            );
+            resp.get("id").and_then(Value::as_str).unwrap().to_string()
+        })
+        .collect();
 
     std::thread::sleep(Duration::from_millis(100));
     assert!(signal::send_term(child.id()), "SIGTERM delivery failed");
@@ -111,52 +146,37 @@ fn sigterm_then_sigkill_then_resume_is_byte_identical() {
         "drained server exited uncleanly: {status}"
     );
 
-    // Server #2: recovery requeues the job; SIGKILL it mid-sweep.
+    // Server #2: recovery requeues the jobs; SIGKILL it mid-sweep.
     let mut child = spawn_serve(&state);
     std::thread::sleep(Duration::from_millis(150));
     child.kill().unwrap();
     child.wait().unwrap();
 
-    // Server #3: the job completes; `client status` sees it terminal,
-    // and the resumed report is byte-identical to the reference.
+    // Server #3: both jobs complete, and each resumed report is
+    // byte-identical to its uninterrupted reference.
     let child = spawn_serve(&state);
     let mut client = Client::connect_state_dir(&state).unwrap();
-    let fin = client.wait(&id, Duration::from_secs(300)).unwrap();
-    assert_eq!(
-        fin.get("status").and_then(Value::as_str),
-        Some("completed"),
-        "{fin:?}"
-    );
-    let report_path = dir.join("resumed.jsonl");
-    let out = Command::new(BIN)
-        .args([
-            "client",
-            "report",
-            &id,
-            "--state",
-            state.to_str().unwrap(),
-            "--out",
-        ])
-        .arg(&report_path)
-        .output()
-        .expect("run client report");
-    assert!(
-        out.status.success(),
-        "client report failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let resumed = std::fs::read_to_string(&report_path).unwrap();
-    assert_eq!(
-        resumed, reference,
-        "resumed report must be byte-identical to the uninterrupted run"
-    );
+    for (i, (id, reference)) in ids.iter().zip(&references).enumerate() {
+        let fin = client.wait(id, Duration::from_secs(300)).unwrap();
+        assert_eq!(
+            fin.get("status").and_then(Value::as_str),
+            Some("completed"),
+            "{fin:?}"
+        );
+        let report_path = dir.join(format!("resumed{i}.jsonl"));
+        cli(
+            &["client", "report", id, "--state", state_s, "--out"],
+            &[&report_path],
+        );
+        let resumed = std::fs::read_to_string(&report_path).unwrap();
+        assert_eq!(
+            &resumed, reference,
+            "job {id}: resumed report must be byte-identical to the uninterrupted run"
+        );
+    }
 
     // `client shutdown` drains server #3; it must exit cleanly.
-    let out = Command::new(BIN)
-        .args(["client", "shutdown", "--state", state.to_str().unwrap()])
-        .output()
-        .expect("run client shutdown");
-    assert!(out.status.success());
+    cli(&["client", "shutdown", "--state", state_s], &[]);
     let status = child.wait_with_output().unwrap().status;
     assert!(status.success(), "server exited uncleanly: {status}");
 

@@ -7,9 +7,10 @@
 //! million-point space.
 
 use lpm_model::{CamatParams, Dimension, Grain};
-use lpm_sim::{System, SystemConfig};
+use lpm_sim::{SimError, System, SystemConfig};
 use lpm_trace::Trace;
 
+use crate::error::LpmError;
 use crate::measurement::LpmMeasurement;
 use crate::optimizer::Tunable;
 
@@ -468,23 +469,20 @@ impl DesignSpaceExplorer {
 }
 
 impl Tunable for DesignSpaceExplorer {
-    fn measure(&mut self) -> LpmMeasurement {
+    fn measure(&mut self) -> Result<LpmMeasurement, LpmError> {
         self.evaluations += 1;
         let cfg = self.hw.apply(&self.base);
-        let mut sys = System::new_looping(cfg, self.trace.clone(), 10_000, self.seed);
-        let cycle_budget = (self.trace.len() as u64) * 1200 + 2_000_000;
-        assert!(
-            sys.measure_steady(
-                self.trace.len() as u64,
-                self.trace.len() as u64,
-                cycle_budget
-            ),
-            "exploration run did not complete its window"
-        );
+        let mut sys = System::try_new_looping(cfg, self.trace.clone(), 10_000, self.seed)?;
+        let window = self.trace.len() as u64;
+        if !sys.measure_steady(window, window, window * 1200 + 2_000_000) {
+            return Err(SimError::Unconverged(format!(
+                "exploration window of {window} instructions did not complete"
+            ))
+            .into());
+        }
         let report = sys.report();
         self.last_l1 = report.l1.to_params().ok();
-        // lpm-lint: allow(P001) exploration asserted its window completed, counters are live
-        LpmMeasurement::from_report(&report, self.grain).expect("non-degenerate measurement")
+        Ok(LpmMeasurement::from_report(&report, self.grain)?)
     }
 
     fn optimize_l1(&mut self) -> bool {
@@ -645,7 +643,7 @@ mod tests {
             1,
         );
         let opt = crate::optimizer::LpmOptimizer::default();
-        let out = crate::optimizer::run_lpm_loop(&mut ex, &opt, 12);
+        let out = crate::optimizer::run_lpm_loop(&mut ex, &opt, 12).unwrap();
         let first = out.steps.first().unwrap().measurement.lpmr1;
         let last = out.final_measurement.lpmr1;
         assert!(last < first, "no improvement: {first} → {last}");
@@ -669,10 +667,10 @@ mod guided_tests {
 
         let mut blanket =
             DesignSpaceExplorer::new(HwConfig::A, base.clone(), trace.clone(), grain, 1);
-        let out_b = run_lpm_loop(&mut blanket, &opt, 10);
+        let out_b = run_lpm_loop(&mut blanket, &opt, 10).unwrap();
 
         let mut guided = DesignSpaceExplorer::new_guided(HwConfig::A, base, trace, grain, 1);
-        let out_g = run_lpm_loop(&mut guided, &opt, 10);
+        let out_g = run_lpm_loop(&mut guided, &opt, 10).unwrap();
 
         // Both improve the mismatch...
         assert!(out_b.final_measurement.lpmr1 < out_b.steps[0].measurement.lpmr1);

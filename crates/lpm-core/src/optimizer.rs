@@ -15,6 +15,7 @@
 //! hardware design space of case study I and the scheduling space of case
 //! study II both do.
 
+use crate::error::LpmError;
 use crate::measurement::LpmMeasurement;
 
 /// What the algorithm decided to do this iteration.
@@ -82,7 +83,9 @@ impl LpmOptimizer {
 /// A system the LPM loop can steer.
 pub trait Tunable {
     /// Measure the current configuration (runs a measurement interval).
-    fn measure(&mut self) -> LpmMeasurement;
+    /// Fails when the interval cannot be measured, e.g. a window too
+    /// short to make any memory access.
+    fn measure(&mut self) -> Result<LpmMeasurement, LpmError>;
 
     /// Increase L1-layer parallelism/capacity one notch. Returns `false`
     /// when the design space is exhausted in this direction.
@@ -120,6 +123,7 @@ pub struct LpmOutcome {
 }
 
 /// Drive the Fig. 3 loop on `target` for at most `max_iters` iterations.
+/// The first failed measurement ends the loop with its error.
 ///
 /// On Case III the loop *tentatively* sheds hardware, re-measures, and
 /// backtracks (via [`Tunable::optimize_l1`]) if the reduction overshot —
@@ -129,9 +133,9 @@ pub fn run_lpm_loop(
     target: &mut impl Tunable,
     optimizer: &LpmOptimizer,
     max_iters: usize,
-) -> LpmOutcome {
+) -> Result<LpmOutcome, LpmError> {
     let mut steps = Vec::new();
-    let mut m = target.measure();
+    let mut m = target.measure()?;
     for _ in 0..max_iters {
         let action = optimizer.decide(&m);
         let applied = match action {
@@ -150,44 +154,44 @@ pub fn run_lpm_loop(
             applied,
         });
         if action == LpmAction::Done {
-            return LpmOutcome {
+            return Ok(LpmOutcome {
                 final_measurement: m,
                 steps,
                 converged: true,
-            };
+            });
         }
         if !applied {
             // Design space exhausted in the needed direction.
-            return LpmOutcome {
+            return Ok(LpmOutcome {
                 final_measurement: m,
                 steps,
                 converged: false,
-            };
+            });
         }
-        let next = target.measure();
+        let next = target.measure()?;
         // Over-provision reduction overshoot: if shedding hardware made
         // the boundary mismatch again, put the notch back and stop.
         if action == LpmAction::ReduceOverprovision && next.lpmr1 > next.t1 {
             target.optimize_l1();
-            let restored = target.measure();
+            let restored = target.measure()?;
             steps.push(LpmStep {
                 measurement: next,
                 action: LpmAction::OptimizeL1,
                 applied: true,
             });
-            return LpmOutcome {
+            return Ok(LpmOutcome {
                 final_measurement: restored,
                 steps,
                 converged: true,
-            };
+            });
         }
         m = next;
     }
-    LpmOutcome {
+    Ok(LpmOutcome {
         final_measurement: m,
         steps,
         converged: false,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -237,8 +241,8 @@ mod tests {
     }
 
     impl Tunable for Synthetic {
-        fn measure(&mut self) -> LpmMeasurement {
-            meas(self.lpmr1, self.lpmr2, 1.0, 1.0)
+        fn measure(&mut self) -> Result<LpmMeasurement, LpmError> {
+            Ok(meas(self.lpmr1, self.lpmr2, 1.0, 1.0))
         }
         fn optimize_l1(&mut self) -> bool {
             if self.l1_notches >= self.max_notches {
@@ -270,7 +274,7 @@ mod tests {
             l1_notches: 0,
             max_notches: 10,
         };
-        let out = run_lpm_loop(&mut t, &LpmOptimizer::default(), 32);
+        let out = run_lpm_loop(&mut t, &LpmOptimizer::default(), 32).unwrap();
         assert!(out.converged);
         // Final LPMR1 within (T1 − δ, T1]: (0.5, 1.0].
         let f = out.final_measurement;
@@ -287,7 +291,7 @@ mod tests {
             l1_notches: 0,
             max_notches: 2, // can only reach LPMR1 = 16
         };
-        let out = run_lpm_loop(&mut t, &LpmOptimizer::default(), 32);
+        let out = run_lpm_loop(&mut t, &LpmOptimizer::default(), 32).unwrap();
         assert!(!out.converged);
         assert!(out.final_measurement.lpmr1 > 1.0);
         assert!(out.steps.iter().all(|s| s.action != LpmAction::Done));
@@ -303,7 +307,7 @@ mod tests {
             l1_notches: 2,
             max_notches: 10,
         };
-        let out = run_lpm_loop(&mut t, &LpmOptimizer::default(), 32);
+        let out = run_lpm_loop(&mut t, &LpmOptimizer::default(), 32).unwrap();
         assert!(out.converged);
         assert_eq!(out.steps[0].action, LpmAction::ReduceOverprovision);
         let f = out.final_measurement;
@@ -321,8 +325,8 @@ mod tests {
             notches: i32,
         }
         impl Tunable for Sharp {
-            fn measure(&mut self) -> LpmMeasurement {
-                meas(self.lpmr1, 0.5, 1.0, 1.0)
+            fn measure(&mut self) -> Result<LpmMeasurement, LpmError> {
+                Ok(meas(self.lpmr1, 0.5, 1.0, 1.0))
             }
             fn optimize_l1(&mut self) -> bool {
                 self.notches += 1;
@@ -345,7 +349,7 @@ mod tests {
             lpmr1: 0.4,
             notches: 1,
         };
-        let out = run_lpm_loop(&mut t, &LpmOptimizer::default(), 32);
+        let out = run_lpm_loop(&mut t, &LpmOptimizer::default(), 32).unwrap();
         // Shed 0.4 → 1.6 (> T1): backtrack to 0.4, converged.
         assert!(out.converged);
         assert!((out.final_measurement.lpmr1 - 0.4).abs() < 1e-12);
@@ -359,7 +363,7 @@ mod tests {
             l1_notches: 0,
             max_notches: 10,
         };
-        let out = run_lpm_loop(&mut t, &LpmOptimizer::default(), 32);
+        let out = run_lpm_loop(&mut t, &LpmOptimizer::default(), 32).unwrap();
         assert!(out.converged);
         assert_eq!(out.steps.len(), 1);
         assert_eq!(out.steps[0].action, LpmAction::Done);

@@ -73,7 +73,6 @@ impl Default for LintConfig {
             exclude: vec![
                 "crates/shim-rand".into(),
                 "crates/shim-proptest".into(),
-                "crates/shim-criterion".into(),
                 "crates/lpm-lint/fixtures".into(),
             ],
             scan: vec![

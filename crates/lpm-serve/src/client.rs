@@ -1,8 +1,8 @@
 //! Blocking client for the line-delimited JSON protocol.
 //!
 //! One request object out, one response object back, over a persistent
-//! TCP connection. Used by `lpm-cli client`, the `repro_serve` soak
-//! harness, and the integration tests — all consumers speak through
+//! TCP connection. Used by `lpm-cli client` and the integration tests
+//! (including the `cli_serve` kill-resume soak) — all consumers speak through
 //! this type so the wire format has exactly one implementation on each
 //! side.
 

@@ -1,8 +1,7 @@
 //! In-process end-to-end tests for the serve daemon: real TCP, real
 //! state directory, real sweeps — only the process boundary is
 //! simulated (the cross-process SIGTERM/SIGKILL soak lives in
-//! `lpm-cli`'s `cli_serve` integration test and the `repro_serve`
-//! bench binary).
+//! `lpm-cli`'s `cli_serve` integration test).
 
 use std::time::Duration;
 

@@ -3,13 +3,12 @@
 //! Usage: `telemetry_check [--strict] <file.jsonl|file.csv>` — parses
 //! the file with the strict round-trip parsers and exits non-zero (with
 //! a diagnostic on stderr) if it is malformed. CI runs this against the
-//! artifact produced by a short `repro_online` run.
+//! artifact produced by a short faulted `lpm-cli online` run.
 //!
 //! Three JSONL shapes are accepted: a single-run log (snapshots,
-//! events, one summary — what `repro_online` and `lpm-cli online`
-//! write), a sweep export (repeated `{"type":"point",...}` headers,
+//! events, one summary — what `lpm-cli online` writes), a sweep export (repeated `{"type":"point",...}` headers,
 //! each followed by that point's complete single-run log — what
-//! `lpm-cli sweep` and `repro_sweep` write), and a checkpoint journal
+//! `lpm-cli sweep` writes), and a checkpoint journal
 //! (a `{"type":"checkpoint-header",...}` line followed by
 //! `checkpoint-row` records — what `lpm-cli sweep --checkpoint`
 //! writes). A sweep is validated per segment, so a malformed record is

@@ -15,7 +15,7 @@ use lpm::core::design_space::{measure_config, DesignSpaceExplorer};
 use lpm::core::optimizer::run_lpm_loop;
 use lpm::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = SpecWorkload::BwavesLike.generator().generate(60_000, 11);
     let base = SystemConfig::default();
 
@@ -59,7 +59,7 @@ fn main() {
     // the starved configuration A.
     println!("\n== LPM-guided exploration from configuration A ==");
     let mut explorer = DesignSpaceExplorer::new(HwConfig::A, base, trace, Grain::Custom(0.30), 1);
-    let outcome = run_lpm_loop(&mut explorer, &LpmOptimizer::default(), 16);
+    let outcome = run_lpm_loop(&mut explorer, &LpmOptimizer::default(), 16)?;
     for (i, step) in outcome.steps.iter().enumerate() {
         println!(
             "step {i}: LPMR1={:.2} (T1={:.2})  LPMR2={:.2} (T2={:.2})  → {:?}",
@@ -81,4 +81,5 @@ fn main() {
         explorer.hw.cost(),
         HwConfig::A.cost()
     );
+    Ok(())
 }

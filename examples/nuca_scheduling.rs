@@ -1,7 +1,6 @@
 //! Case Study II: LPM-guided scheduling on a CMP with heterogeneous
 //! private L1 caches (the Fig. 5–8 experiment, scaled down to run in
-//! seconds — the full 16-core version lives in the `repro_fig8` binary of
-//! `lpm-bench`).
+//! seconds — the full 16-core version is `lpm-cli repro fig8`).
 //!
 //! Eight workloads are mapped onto eight cores whose private L1s come in
 //! four sizes (4/16/32/64 KiB, two of each). Random and Round-Robin

@@ -123,7 +123,7 @@ fn lpm_loop_on_real_hardware_model() {
         Grain::Custom(0.30),
         1,
     );
-    let out = run_lpm_loop(&mut ex, &LpmOptimizer::default(), 12);
+    let out = run_lpm_loop(&mut ex, &LpmOptimizer::default(), 12).unwrap();
     let first = out.steps.first().unwrap().measurement.lpmr1;
     let last = out.final_measurement.lpmr1;
     assert!(last < first, "no improvement: {first} → {last}");
