@@ -8,7 +8,7 @@ pub mod repro;
 
 use lpm_core::burst::{BurstStudy, DetectionResult};
 use lpm_core::design_space::{measure_config, HwConfig, TableIRow};
-use lpm_core::profile::{profile_suite, WorkloadProfile, FIG5_L1_SIZES};
+use lpm_core::profile::{profile_workload, WorkloadProfile, FIG5_L1_SIZES};
 use lpm_core::sched::{evaluate_schedule, fig8_policies, NucaLayout, ScheduleEvaluation};
 use lpm_sim::SystemConfig;
 use lpm_trace::{Generator, SpecWorkload};
@@ -36,6 +36,18 @@ pub fn study_config() -> SystemConfig {
     cfg
 }
 
+/// `f` over `items`, one scoped thread per item; results come back in
+/// input order and a thread's panic resumes on the caller.
+fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items.iter().map(|t| s.spawn(|| f(t))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
 /// Regenerate Table I: the five configurations A–E measured on the
 /// bwaves-like workload.
 pub fn table1_rows(instructions: usize, seed: u64) -> Vec<TableIRow> {
@@ -43,41 +55,22 @@ pub fn table1_rows(instructions: usize, seed: u64) -> Vec<TableIRow> {
         .generator()
         .generate(instructions, 11);
     let base = SystemConfig::default();
-    let mut rows: Vec<Option<TableIRow>> = (0..HwConfig::TABLE_I.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (slot, (label, hw)) in rows.iter_mut().zip(HwConfig::TABLE_I) {
-            let trace = &trace;
-            let base = &base;
-            s.spawn(move || {
-                *slot = Some(measure_config(label, hw, base, trace, seed));
-            });
-        }
-    });
-    // lpm-lint: allow(P001) scope guarantees each spawned thread filled its slot
-    rows.into_iter().map(|r| r.expect("row measured")).collect()
+    par_map(&HwConfig::TABLE_I, |&(label, hw)| {
+        measure_config(label, hw, &base, &trace, seed)
+            // lpm-lint: allow(P001) plain-value driver: the Table I configs on bwaves converging is a simulator invariant
+            .unwrap_or_else(|e| panic!("Table I config {label}: {e}"))
+    })
 }
 
 /// Regenerate the Fig. 6/7 profile data: all sixteen workloads across the
 /// four Fig. 5 L1 sizes, in parallel.
 pub fn fig67_profiles(instructions: usize, seed: u64) -> Vec<WorkloadProfile> {
     let base = study_config();
-    let mut out: Vec<Option<WorkloadProfile>> =
-        (0..SpecWorkload::ALL.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (slot, w) in out.iter_mut().zip(SpecWorkload::ALL) {
-            let base = &base;
-            s.spawn(move || {
-                *slot = Some(
-                    profile_suite(&[w], &FIG5_L1_SIZES, base, instructions, seed)
-                        .pop()
-                        // lpm-lint: allow(P001) profile_suite returns one profile per requested workload
-                        .expect("one profile"),
-                );
-            });
-        }
-    });
-    // lpm-lint: allow(P001) scope guarantees each spawned thread filled its slot
-    out.into_iter().map(|p| p.expect("profiled")).collect()
+    par_map(&SpecWorkload::ALL, |&w| {
+        profile_workload(w, &FIG5_L1_SIZES, &base, instructions, seed)
+            // lpm-lint: allow(P001) plain-value driver: every suite workload converging on the study config is a simulator invariant
+            .unwrap_or_else(|e| panic!("{w}: {e}"))
+    })
 }
 
 /// Regenerate Fig. 8: the four scheduling policies on the 16-core Fig. 5
@@ -90,26 +83,9 @@ pub fn fig8_results(
 ) -> Vec<ScheduleEvaluation> {
     let layout = NucaLayout::fig5();
     let base = study_config();
-    let policies = fig8_policies(3);
-    let mut out: Vec<Option<ScheduleEvaluation>> = (0..policies.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (slot, kind) in out.iter_mut().zip(policies) {
-            let layout = &layout;
-            let base = &base;
-            s.spawn(move || {
-                *slot = Some(evaluate_schedule(
-                    kind,
-                    layout,
-                    profiles,
-                    base,
-                    instructions,
-                    seed,
-                ));
-            });
-        }
-    });
-    // lpm-lint: allow(P001) scope guarantees each spawned thread filled its slot
-    out.into_iter().map(|e| e.expect("evaluated")).collect()
+    par_map(&fig8_policies(3), |&kind| {
+        evaluate_schedule(kind, &layout, profiles, &base, instructions, seed)
+    })
 }
 
 /// Regenerate the §IV measurement-interval study: detection rates at the

@@ -615,7 +615,7 @@ fn render_ablation(n: usize) -> Result<String, String> {
     for (study, (trace_name, trace), variants) in &studies {
         eprintln!("ablation: {study} ...");
         for (variant, cfg) in variants {
-            let mut sys = System::try_new(cfg.clone(), trace.clone(), 1)
+            let mut sys = System::try_new_looping(cfg.clone(), trace.clone(), 1, 1)
                 .map_err(|e| format!("ablation {study} / {variant}: {e}"))?;
             if !sys
                 .try_run(500_000_000)

@@ -127,9 +127,14 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Build a cache; `seed` feeds the Random replacement policy.
+    /// Build a cache; `seed` feeds the Random replacement policy. Panics
+    /// on a `cfg` that fails [`CacheConfig::validate`], which callers
+    /// check first.
     pub fn new(cfg: CacheConfig, seed: u64) -> Self {
-        cfg.validate();
+        if let Err(msg) = cfg.validate() {
+            // lpm-lint: allow(P001) documented contract: an invalid config is a caller bug
+            panic!("{msg}");
+        }
         let array = TagArray::new(&cfg, seed);
         let mshr = MshrFile::new(cfg.mshrs as usize, cfg.targets_per_mshr as usize);
         Cache {

@@ -102,18 +102,9 @@ impl CacheConfig {
         addr / self.line_bytes / self.sets()
     }
 
-    /// Validate structural constraints, panicking with a descriptive
-    /// message on violation. Called by [`crate::cache::Cache::new`].
-    pub fn validate(&self) {
-        if let Err(msg) = self.try_validate() {
-            // lpm-lint: allow(P001) documented panicking wrapper; fallible callers use try_validate
-            panic!("{msg}");
-        }
-    }
-
     /// Validate structural constraints, returning a descriptive message
-    /// on violation instead of panicking.
-    pub fn try_validate(&self) -> Result<(), String> {
+    /// on violation.
+    pub fn validate(&self) -> Result<(), String> {
         if !self.size_bytes.is_power_of_two() {
             return Err(format!(
                 "cache size must be a power of two, got {}",
@@ -181,10 +172,10 @@ mod tests {
     #[test]
     fn default_geometry() {
         let c = CacheConfig::l1_default();
-        c.validate();
+        c.validate().unwrap();
         assert_eq!(c.sets(), 64);
         let l2 = CacheConfig::l2_default();
-        l2.validate();
+        l2.validate().unwrap();
         assert_eq!(l2.sets(), 2048);
     }
 
@@ -221,7 +212,7 @@ mod tests {
     fn bad_size_rejected() {
         let mut c = CacheConfig::l1_default();
         c.size_bytes = 3000;
-        c.validate();
+        c.validate().unwrap();
     }
 
     #[test]
@@ -231,6 +222,6 @@ mod tests {
         c.size_bytes = 256;
         c.assoc = 8;
         c.line_bytes = 64;
-        c.validate();
+        c.validate().unwrap();
     }
 }

@@ -220,7 +220,7 @@ fn system_config_from(a: &Args) -> Result<SystemConfig, String> {
 }
 
 fn trace_from(a: &Args, w: SpecWorkload) -> Result<(Trace, usize, u64), String> {
-    let n = a.int_or("instructions", 60_000)? as usize;
+    let n = a.positive_int_or("instructions", 60_000)? as usize;
     let seed = a.int_or("seed", 7)?;
     Ok((w.generator().generate(n, seed), n, seed))
 }
@@ -267,8 +267,14 @@ fn cmd_run(a: &Args) -> Result<(), String> {
     if !a.has("quiet") {
         eprintln!("simulating {label} for {n} instructions (half warmup) ...");
     }
-    let mut sys = System::try_new(cfg, trace, seed).map_err(|e| e.to_string())?;
-    if !sys.run_with_warmup(n as u64 / 2, n as u64 * 2000 + 10_000_000) {
+    let mut sys = System::try_new_looping(cfg, trace, 1, seed).map_err(|e| e.to_string())?;
+    sys.cmp_mut()
+        .try_warm_up(n as u64 / 2)
+        .map_err(|e| e.to_string())?;
+    if !sys
+        .try_run(n as u64 * 2000 + 10_000_000)
+        .map_err(|e| e.to_string())?
+    {
         return Err("trace did not drain within the cycle budget".into());
     }
     let r = sys.report();
@@ -401,7 +407,7 @@ fn cmd_online(a: &Args) -> Result<(), String> {
     use std::fmt::Write as _;
 
     let w = workload_from(a)?;
-    let n = a.int_or("instructions", 600_000)? as usize;
+    let n = a.positive_int_or("instructions", 600_000)? as usize;
     let seed = a.int_or("seed", 7)?;
     let interval = a.int_or("interval", 20_000)?;
     let grain = grain_from(a, 0.50)?;
@@ -416,7 +422,9 @@ fn cmd_online(a: &Args) -> Result<(), String> {
     let trace = w.generator().generate(n, seed);
     let base = HwConfig::A.apply(&SystemConfig::default());
     let mut sys = System::try_new_looping(base, trace, 100, seed).map_err(|e| e.to_string())?;
-    sys.cmp_mut().warm_up(30_000);
+    sys.cmp_mut()
+        .try_warm_up(30_000)
+        .map_err(|e| e.to_string())?;
     let mut ctl = if faults.is_some() {
         // Faulted sensors need the defensive preset.
         OnlineLpmController::new_hardened(HwConfig::A, interval, grain)
@@ -987,7 +995,7 @@ mod tests {
         assert_eq!(cfg.l1.ports, 2);
         assert_eq!(cfg.l1.mshrs, 8);
         assert_eq!(cfg.l3.as_ref().unwrap().size_bytes, 8 << 20);
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]
@@ -1089,12 +1097,26 @@ mod tests {
     }
 
     #[test]
-    fn repro_rejects_zero_instructions_and_unknown_targets() {
-        let e = run(&sv(&["repro", "fig6", "--instructions", "0"])).unwrap_err();
-        assert!(
-            e.contains("--instructions") && e.contains("positive"),
-            "{e}"
-        );
+    fn zero_instructions_and_unknown_repro_targets_are_rejected() {
+        for cmd in [
+            &["run", "--workload", "gcc"][..],
+            &["explore", "--workload", "gcc"],
+            &["online", "--workload", "gcc"],
+            &["trace-dump", "--workload", "gcc"],
+            &["repro", "fig6"],
+        ] {
+            let argv: Vec<&str> = cmd
+                .iter()
+                .chain(&["--instructions", "0"])
+                .copied()
+                .collect();
+            let e = run(&sv(&argv)).unwrap_err();
+            assert!(
+                e.contains("--instructions") && e.contains("positive"),
+                "{}: {e}",
+                cmd[0]
+            );
+        }
         let e = run(&sv(&["repro", "fig9"])).unwrap_err();
         assert!(e.contains("unknown repro target"), "{e}");
         let e = run(&sv(&["repro"])).unwrap_err();

@@ -7,7 +7,7 @@
 //! million-point space.
 
 use lpm_model::{CamatParams, Dimension, Grain};
-use lpm_sim::{SimError, System, SystemConfig};
+use lpm_sim::{System, SystemConfig};
 use lpm_trace::Trace;
 
 use crate::error::LpmError;
@@ -388,27 +388,18 @@ pub struct TableIRow {
     pub ipc: f64,
 }
 
-/// Simulate `trace` under `hw` applied to `base` and measure a Table I row.
+/// Simulate `trace` under `hw` applied to `base` and measure a Table I
+/// row at steady state ([`System::steady_report`]).
 pub fn measure_config(
     label: &str,
     hw: HwConfig,
     base: &SystemConfig,
     trace: &Trace,
     seed: u64,
-) -> TableIRow {
-    let cfg = hw.apply(base);
-    // Rate-mode steady state: loop the trace, warm a full lap, measure a
-    // lap (the role SimPoint sampling plays in the paper's methodology).
-    let mut sys = System::new_looping(cfg, trace.clone(), 10_000, seed);
-    let cycle_budget = (trace.len() as u64) * 1200 + 2_000_000;
-    assert!(
-        sys.measure_steady(trace.len() as u64, trace.len() as u64, cycle_budget),
-        "measurement window did not complete under {hw:?}"
-    );
-    let r = sys.report();
-    // lpm-lint: allow(P001) measure_steady asserted completion, so the report is measurable
-    let lpmrs = r.lpmrs().expect("measurable run");
-    TableIRow {
+) -> Result<TableIRow, LpmError> {
+    let r = System::steady_report(hw.apply(base), trace.clone(), seed)?;
+    let lpmrs = r.lpmrs()?;
+    Ok(TableIRow {
         label: label.to_string(),
         hw,
         lpmr1: lpmrs.l1.value(),
@@ -417,7 +408,7 @@ pub fn measure_config(
         stall_per_instr: r.measured_stall(),
         stall_over_cpi_exe: r.measured_stall() / r.cpi_exe,
         ipc: r.core.ipc(),
-    }
+    })
 }
 
 /// LPM-guided design-space exploration on one workload: implements
@@ -472,15 +463,7 @@ impl Tunable for DesignSpaceExplorer {
     fn measure(&mut self) -> Result<LpmMeasurement, LpmError> {
         self.evaluations += 1;
         let cfg = self.hw.apply(&self.base);
-        let mut sys = System::try_new_looping(cfg, self.trace.clone(), 10_000, self.seed)?;
-        let window = self.trace.len() as u64;
-        if !sys.measure_steady(window, window, window * 1200 + 2_000_000) {
-            return Err(SimError::Unconverged(format!(
-                "exploration window of {window} instructions did not complete"
-            ))
-            .into());
-        }
-        let report = sys.report();
+        let report = System::steady_report(cfg, self.trace.clone(), self.seed)?;
         self.last_l1 = report.l1.to_params().ok();
         Ok(LpmMeasurement::from_report(&report, self.grain)?)
     }
@@ -525,7 +508,7 @@ mod tests {
         assert_eq!(cfg.l1.ports, 4);
         assert_eq!(cfg.l1.mshrs, 16);
         assert_eq!(cfg.l2.banks, 8);
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]
@@ -620,8 +603,8 @@ mod tests {
         // starved configuration A to the matched configuration C.
         let trace = SpecWorkload::BwavesLike.generator().generate(20_000, 11);
         let base = SystemConfig::default();
-        let a = measure_config("A", HwConfig::A, &base, &trace, 1);
-        let c = measure_config("C", HwConfig::C, &base, &trace, 1);
+        let a = measure_config("A", HwConfig::A, &base, &trace, 1).unwrap();
+        let c = measure_config("C", HwConfig::C, &base, &trace, 1).unwrap();
         assert!(c.lpmr1 < a.lpmr1 * 0.7, "LPMR1 A={} C={}", a.lpmr1, c.lpmr1);
         assert!(c.ipc > a.ipc * 1.5, "IPC A={} C={}", a.ipc, c.ipc);
         assert!(

@@ -215,18 +215,19 @@ impl OnlineLpmController {
         Ok(c)
     }
 
-    /// Health counters accumulated across `run`/`try_run` calls.
+    /// Health counters accumulated across `try_run` calls.
     pub fn health(&self) -> ControllerHealth {
         self.health
     }
 
     /// Apply the controller's current configuration to the live system.
-    fn apply(&self, sys: &mut System) {
+    fn apply(&self, sys: &mut System) -> Result<(), LpmError> {
         let cfg = self.hw.apply(&lpm_sim::SystemConfig::default());
         let cmp: &mut Cmp = sys.cmp_mut();
-        cmp.reconfigure_core(0, cfg.core);
+        cmp.reconfigure_core(0, cfg.core)?;
         cmp.reconfigure_l1(0, cfg.l1.ports, cfg.l1.mshrs, cfg.l1.banks);
         cmp.reconfigure_l2(cfg.l2.ports, cfg.l2.mshrs, cfg.l2.banks);
+        Ok(())
     }
 
     /// Grow the L1-side knobs under the step-size clamp; returns whether
@@ -263,17 +264,9 @@ impl OnlineLpmController {
 
     /// Run `intervals` adaptation intervals on the live system, returning
     /// the adaptation log. The system keeps executing its trace
-    /// throughout; each record reflects one window. Panics on simulator
-    /// errors; use [`OnlineLpmController::try_run`] for typed errors.
-    pub fn run(&mut self, sys: &mut System, intervals: usize) -> Vec<IntervalRecord> {
-        self.try_run(sys, intervals)
-            // lpm-lint: allow(P001) documented panicking wrapper; fallible callers use try_run
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`OnlineLpmController::run`]: simulator
-    /// failures (deadlock, invalid reconfiguration) come back as
-    /// [`LpmError`] with the adaptation completed so far discarded.
+    /// throughout; each record reflects one window. Simulator failures
+    /// (deadlock, invalid reconfiguration) come back as [`LpmError`] with
+    /// the adaptation completed so far discarded.
     pub fn try_run(
         &mut self,
         sys: &mut System,
@@ -342,14 +335,8 @@ impl OnlineLpmController {
         rec: &mut R,
         cycle_budget: Option<u64>,
     ) -> Result<Vec<IntervalRecord>, LpmError> {
-        let step = |sys: &mut System, cycles: u64, rec: &mut R| -> Result<(), LpmError> {
-            match cycle_budget {
-                None => sys.try_run_for_with(cycles, rec)?,
-                Some(cap) => sys.try_run_for_with_budget(cycles, rec, cap)?,
-            }
-            Ok(())
-        };
-        self.apply(sys);
+        let cap = cycle_budget.unwrap_or(u64::MAX);
+        self.apply(sys)?;
         sys.cmp_mut().reset_measurement();
         let mut log = Vec::with_capacity(intervals);
         // Threshold-crossing state: (LPMR1 > T1, LPMR2 > T2) last interval.
@@ -359,7 +346,7 @@ impl OnlineLpmController {
         // excluded from deterministic comparisons.
         let mut last_wall = R::ENABLED.then(lpm_telemetry::wall_now);
         for _ in 0..intervals {
-            step(sys, self.interval_cycles, rec)?;
+            sys.try_run_for_with_budget(self.interval_cycles, rec, cap)?;
             let report = sys.report();
             if report.core.retired == 0 || report.l1.accesses == 0 {
                 // Nothing measurable this window: the trace drained, or a
@@ -442,8 +429,8 @@ impl OnlineLpmController {
                             if best_hw != self.hw {
                                 let streak = self.regress_streak;
                                 self.hw = best_hw;
-                                self.apply(sys);
-                                step(sys, RECONFIG_COST_CYCLES, rec)?;
+                                self.apply(sys)?;
+                                sys.try_run_for_with_budget(RECONFIG_COST_CYCLES, rec, cap)?;
                                 self.health.rollbacks += 1;
                                 rolled_back = true;
                                 if R::ENABLED {
@@ -488,9 +475,9 @@ impl OnlineLpmController {
                     LpmAction::ReduceOverprovision => Direction::Shed,
                     _ => Direction::Grow,
                 });
-                self.apply(sys);
+                self.apply(sys)?;
                 // The paper's reconfiguration cost: the core pauses.
-                step(sys, RECONFIG_COST_CYCLES, rec)?;
+                sys.try_run_for_with_budget(RECONFIG_COST_CYCLES, rec, cap)?;
             }
             if R::ENABLED {
                 if !was_frozen && self.frozen {
@@ -577,11 +564,11 @@ mod tests {
     fn online_run(intervals: usize) -> (Vec<IntervalRecord>, OnlineLpmController) {
         let trace = SpecWorkload::BwavesLike.generator().generate(600_000, 11);
         let base = HwConfig::A.apply(&SystemConfig::default());
-        let mut sys = System::new_looping(base, trace, 100, 1);
+        let mut sys = System::try_new_looping(base, trace, 100, 1).unwrap();
         // Warm the caches before handing over to the controller.
-        sys.cmp_mut().warm_up(30_000);
+        sys.cmp_mut().try_warm_up(30_000).unwrap();
         let mut ctl = OnlineLpmController::new(HwConfig::A, 20_000, Grain::Custom(0.5)).unwrap();
-        let log = ctl.run(&mut sys, intervals);
+        let log = ctl.try_run(&mut sys, intervals).unwrap();
         (log, ctl)
     }
 
@@ -590,8 +577,8 @@ mod tests {
         let mk = || {
             let trace = SpecWorkload::BwavesLike.generator().generate(60_000, 11);
             let base = HwConfig::A.apply(&SystemConfig::default());
-            let mut sys = System::new_looping(base, trace, 100, 1);
-            sys.cmp_mut().warm_up(10_000);
+            let mut sys = System::try_new_looping(base, trace, 100, 1).unwrap();
+            sys.cmp_mut().try_warm_up(10_000).unwrap();
             let ctl = OnlineLpmController::new(HwConfig::A, 5_000, Grain::Custom(0.5)).unwrap();
             (sys, ctl)
         };
@@ -697,8 +684,8 @@ mod tests {
     fn hardened_controller_still_adapts_upward_on_a_clean_run() {
         let trace = SpecWorkload::BwavesLike.generator().generate(600_000, 11);
         let base = HwConfig::A.apply(&SystemConfig::default());
-        let mut sys = System::new_looping(base, trace, 100, 1);
-        sys.cmp_mut().warm_up(30_000);
+        let mut sys = System::try_new_looping(base, trace, 100, 1).unwrap();
+        sys.cmp_mut().try_warm_up(30_000).unwrap();
         let mut ctl =
             OnlineLpmController::new_hardened(HwConfig::A, 20_000, Grain::Custom(0.5)).unwrap();
         let log = ctl.try_run(&mut sys, 10).unwrap();

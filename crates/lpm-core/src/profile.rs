@@ -4,6 +4,8 @@
 use lpm_sim::{System, SystemConfig};
 use lpm_trace::{Generator, SpecWorkload};
 
+use crate::error::LpmError;
+
 /// A workload's measured behaviour across candidate private-L1 sizes.
 #[derive(Debug, Clone)]
 pub struct WorkloadProfile {
@@ -63,7 +65,7 @@ pub fn profile_workload(
     base: &SystemConfig,
     instructions: usize,
     seed: u64,
-) -> WorkloadProfile {
+) -> Result<WorkloadProfile, LpmError> {
     let trace = workload.generator().generate(instructions, seed);
     let mut p = WorkloadProfile {
         workload,
@@ -81,26 +83,18 @@ pub fn profile_workload(
         while cfg.l1.size_bytes < cfg.l1.line_bytes * cfg.l1.assoc as u64 {
             cfg.l1.assoc /= 2;
         }
-        // Rate-mode steady state: loop the trace, warm one full lap, then
-        // measure one lap — matching the shared-mode methodology of the
+        // Steady state, matching the shared-mode methodology of the
         // scheduling study so alone/shared IPCs are comparable.
-        let mut sys = System::new_looping(cfg, trace.clone(), 10_000, seed);
-        let budget = instructions as u64 * 1200 + 2_000_000;
-        assert!(
-            sys.measure_steady(instructions as u64, instructions as u64, budget),
-            "{workload} did not complete its window at {size} B"
-        );
-        let r = sys.report();
+        let r = System::steady_report(cfg, trace.clone(), seed)?;
         let (apc1, apc2, _) = r.apcs();
         p.apc1.push(apc1);
         p.apc2.push(apc2);
         p.l2_demand
             .push(r.l2.accesses as f64 / r.core.retired.max(1) as f64);
         p.ipc.push(r.core.ipc());
-        // lpm-lint: allow(P001) measure_steady asserted completion, so the report is measurable
-        p.lpmr1.push(r.lpmrs().expect("measurable").l1.value());
+        p.lpmr1.push(r.lpmrs()?.l1.value());
     }
-    p
+    Ok(p)
 }
 
 /// Profile a whole suite (Fig. 6/7 regeneration).
@@ -110,7 +104,7 @@ pub fn profile_suite(
     base: &SystemConfig,
     instructions: usize,
     seed: u64,
-) -> Vec<WorkloadProfile> {
+) -> Result<Vec<WorkloadProfile>, LpmError> {
     workloads
         .iter()
         .map(|&w| profile_workload(w, l1_sizes, base, instructions, seed))
@@ -125,7 +119,7 @@ mod tests {
     use super::*;
 
     fn quick_profile(w: SpecWorkload) -> WorkloadProfile {
-        profile_workload(w, &FIG5_L1_SIZES, &SystemConfig::default(), 12_000, 5)
+        profile_workload(w, &FIG5_L1_SIZES, &SystemConfig::default(), 12_000, 5).unwrap()
     }
 
     #[test]

@@ -12,8 +12,8 @@
 
 use rand::seq::SliceRandom;
 
-use lpm_sim::{Cmp, CoreSlot, SystemConfig};
-use lpm_trace::{Generator, SpecWorkload};
+use lpm_sim::{Cmp, CoreSlot, SimError, SystemConfig};
+use lpm_trace::{Generator, SpecWorkload, Trace};
 
 use crate::hsp::harmonic_weighted_speedup;
 use crate::profile::WorkloadProfile;
@@ -276,24 +276,9 @@ pub fn evaluate_schedule(
                 .generate(instructions, seed),
         );
     }
-    // Rate-mode: traces loop so fast programs never run dry while slow
-    // co-runners warm up or get measured. Warm every core through half a
-    // lap (matching the steady-state alone-IPC profiles), then measure a
-    // fixed amount of work per core under contention.
-    let mut cmp = Cmp::new_looping(
-        slots,
-        base.l2.clone(),
-        base.dram.clone(),
-        traces,
-        10_000,
-        seed,
-    );
-    cmp.warm_up_all(instructions as u64 / 2);
-    let budget = cmp.now() + instructions as u64 * 3000 + 4_000_000;
-    assert!(
-        cmp.run_until_all_retired(instructions as u64 / 2, budget),
-        "CMP measurement window did not complete within {budget} cycles"
-    );
+    let cmp = run_shared(slots, base, traces, instructions as u64, seed)
+        // lpm-lint: allow(P001) plain-value driver: the Fig. 8 CMP on valid configs converging is a simulator invariant
+        .unwrap_or_else(|e| panic!("Fig. 8 {kind:?} CMP: {e}"));
 
     let mut ipc_shared = Vec::with_capacity(layout.cores());
     let mut ipc_alone = Vec::with_capacity(layout.cores());
@@ -318,6 +303,31 @@ pub fn evaluate_schedule(
     }
 }
 
+/// Rate mode: traces loop so fast programs never run dry while slow
+/// co-runners warm up or get measured. Warm every core through half a
+/// lap of `instructions` (matching the steady-state alone-IPC profiles),
+/// then measure a fixed amount of work per core under contention.
+fn run_shared(
+    slots: Vec<CoreSlot>,
+    base: &SystemConfig,
+    traces: Vec<Trace>,
+    instructions: u64,
+    seed: u64,
+) -> Result<Cmp, SimError> {
+    let shared = vec![base.l2.clone()];
+    let mut cmp =
+        Cmp::try_new_with_hierarchy(slots, shared, base.dram.clone(), traces, 10_000, seed)?;
+    let half = instructions / 2;
+    cmp.try_warm_up_all(half)?;
+    let budget = cmp.now() + instructions * 3000 + 4_000_000;
+    if !cmp.try_run_until_all_retired(half, budget)? {
+        return Err(SimError::Unconverged(format!(
+            "CMP measurement window did not complete within {budget} cycles"
+        )));
+    }
+    Ok(cmp)
+}
+
 /// Helper: evaluate the four Fig. 8 policies on a common profile set.
 pub fn fig8_policies(random_seed: u64) -> [SchedulerKind; 4] {
     [
@@ -340,7 +350,7 @@ mod tests {
 
     fn tiny_profiles(workloads: &[SpecWorkload], sizes_kib: &[u64]) -> Vec<WorkloadProfile> {
         let sizes: Vec<u64> = sizes_kib.iter().map(|k| k << 10).collect();
-        profile_suite(workloads, &sizes, &SystemConfig::default(), 8_000, 3)
+        profile_suite(workloads, &sizes, &SystemConfig::default(), 8_000, 3).unwrap()
     }
 
     #[test]

@@ -47,17 +47,9 @@ impl CoreConfig {
         }
     }
 
-    /// Validate structural constraints.
-    pub fn validate(&self) {
-        if let Err(msg) = self.try_validate() {
-            // lpm-lint: allow(P001) documented panicking wrapper; fallible callers use try_validate
-            panic!("{msg}");
-        }
-    }
-
     /// Validate structural constraints, returning a descriptive message
-    /// on violation instead of panicking.
-    pub fn try_validate(&self) -> Result<(), String> {
+    /// on violation.
+    pub fn validate(&self) -> Result<(), String> {
         if self.issue_width < 1 {
             return Err("issue width must be >= 1".into());
         }
@@ -75,6 +67,16 @@ impl CoreConfig {
         }
         Ok(())
     }
+}
+
+/// `cfg` itself, or a panic with [`CoreConfig::validate`]'s message:
+/// the single check behind [`Core::new_looping`] and [`Core::reconfigure`].
+fn checked(cfg: CoreConfig) -> CoreConfig {
+    if let Err(msg) = cfg.validate() {
+        // lpm-lint: allow(P001) documented contract: an invalid config is a caller bug
+        panic!("{msg}");
+    }
+    cfg
 }
 
 /// Execution state of a ROB entry.
@@ -237,8 +239,10 @@ impl Core {
     /// structure repeat, the cache state persists across laps). Used by
     /// the scheduling study, where cores progress at wildly different
     /// speeds and none may run dry during another's measurement window.
+    /// Panics on a `cfg` that fails [`CoreConfig::validate`], which callers
+    /// check first.
     pub fn new_looping(cfg: CoreConfig, trace: Trace, repeats: u32) -> Self {
-        cfg.validate();
+        let cfg = checked(cfg);
         assert!(repeats >= 1, "need at least one pass over the trace");
         let total_instructions = trace.len() * repeats as usize;
         Core {
@@ -284,8 +288,9 @@ impl Core {
     /// stay in the ROB and dispatch simply pauses until occupancy drops
     /// below the new size — modelling the short drain a real
     /// reconfiguration would require.
+    /// Panics on a `cfg` that fails [`CoreConfig::validate`].
     pub fn reconfigure(&mut self, cfg: CoreConfig) {
-        cfg.validate();
+        let cfg = checked(cfg);
         self.cfg = cfg;
         let words = ring_words((cfg.rob_size as usize).max(self.rob.len()));
         if words > self.done.len() {

@@ -57,17 +57,9 @@ impl DramConfig {
         }
     }
 
-    /// Validate structural constraints.
-    pub fn validate(&self) {
-        if let Err(msg) = self.try_validate() {
-            // lpm-lint: allow(P001) documented panicking wrapper; fallible callers use try_validate
-            panic!("{msg}");
-        }
-    }
-
     /// Validate structural constraints, returning a descriptive message
-    /// on violation instead of panicking.
-    pub fn try_validate(&self) -> Result<(), String> {
+    /// on violation.
+    pub fn validate(&self) -> Result<(), String> {
         if self.channels < 1 {
             return Err("need at least one channel".into());
         }
@@ -121,7 +113,7 @@ mod tests {
 
     #[test]
     fn default_is_valid() {
-        DramConfig::ddr3_default().validate();
+        DramConfig::ddr3_default().validate().unwrap();
     }
 
     #[test]
@@ -151,6 +143,6 @@ mod tests {
     fn zero_channels_rejected() {
         let mut c = DramConfig::ddr3_default();
         c.channels = 0;
-        c.validate();
+        c.validate().unwrap();
     }
 }

@@ -80,9 +80,13 @@ pub struct Dram {
 }
 
 impl Dram {
-    /// Build a DRAM system from `cfg`.
+    /// Build a DRAM system from `cfg`. Panics on a `cfg` that fails
+    /// [`DramConfig::validate`], which callers check first.
     pub fn new(cfg: DramConfig) -> Self {
-        cfg.validate();
+        if let Err(msg) = cfg.validate() {
+            // lpm-lint: allow(P001) documented contract: an invalid config is a caller bug
+            panic!("{msg}");
+        }
         let channels = (0..cfg.channels)
             .map(|_| Channel {
                 queue: Vec::with_capacity(cfg.queue_depth),

@@ -166,7 +166,9 @@ fn evaluate_point_attempt(
     // a single cycle (including warmup) runs. The default is the
     // event-driven fast path, whose output is bit-identical.
     sys.set_reference_stepping(mode.reference);
-    sys.cmp_mut().warm_up(spec.warmup_instructions);
+    sys.cmp_mut()
+        .try_warm_up(spec.warmup_instructions)
+        .map_err(|e| fail("warm-up failed", &e))?;
     if let Some(fs) = fault_seed {
         sys.enable_faults(spec.fault_class.config(fs));
     }

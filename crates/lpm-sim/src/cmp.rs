@@ -66,7 +66,7 @@ struct LevelReq {
 
 /// How many cycles without any retirement before the simulator assumes a
 /// deadlock (a simulator bug, not a modelling outcome). [`Cmp::try_step`]
-/// reports it as [`SimError::Deadlock`]; the legacy [`Cmp::step`] panics.
+/// reports it as [`SimError::Deadlock`].
 const WATCHDOG_CYCLES: u64 = 500_000;
 
 /// Shortest idle span worth batching. Below this, the per-span
@@ -142,63 +142,13 @@ impl MemoryPort for L1Port<'_> {
 
 impl Cmp {
     /// Build a CMP. `slots[i]` configures core `i`, which executes
-    /// `traces[i]` relocated into its own address region. `l2`/`dram` are
-    /// shared. `seed` feeds replacement-policy randomness.
-    pub fn new(
-        slots: Vec<CoreSlot>,
-        l2: CacheConfig,
-        dram: DramConfig,
-        traces: Vec<Trace>,
-        seed: u64,
-    ) -> Self {
-        Self::new_looping(slots, l2, dram, traces, 1, seed)
-    }
-
-    /// Like [`Cmp::new`], but every core loops its trace `repeats` times —
-    /// the rate-mode setup of the scheduling study, where no program may
-    /// run dry while slower co-runners are still being measured.
-    pub fn new_looping(
-        slots: Vec<CoreSlot>,
-        l2: CacheConfig,
-        dram: DramConfig,
-        traces: Vec<Trace>,
-        repeats: u32,
-        seed: u64,
-    ) -> Self {
-        Self::new_with_hierarchy(slots, vec![l2], dram, traces, repeats, seed)
-    }
-
-    /// Fallible variant of [`Cmp::new_looping`].
-    pub fn try_new_looping(
-        slots: Vec<CoreSlot>,
-        l2: CacheConfig,
-        dram: DramConfig,
-        traces: Vec<Trace>,
-        repeats: u32,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        Self::try_new_with_hierarchy(slots, vec![l2], dram, traces, repeats, seed)
-    }
-
-    /// Fully general constructor: the shared side of the hierarchy is the
-    /// chain `shared_cfgs[0] → shared_cfgs[1] → … → DRAM` (e.g. an L2
-    /// followed by an L3). Panics on an invalid configuration; see
-    /// [`Cmp::try_new_with_hierarchy`] for the fallible variant.
-    pub fn new_with_hierarchy(
-        slots: Vec<CoreSlot>,
-        shared_cfgs: Vec<CacheConfig>,
-        dram: DramConfig,
-        traces: Vec<Trace>,
-        repeats: u32,
-        seed: u64,
-    ) -> Self {
-        Self::try_new_with_hierarchy(slots, shared_cfgs, dram, traces, repeats, seed)
-            .unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Like [`Cmp::new_with_hierarchy`], but structural configuration
-    /// problems come back as [`SimError::InvalidConfig`] instead of
-    /// panicking.
+    /// `traces[i]` relocated into its own address region, looping it
+    /// `repeats` times (rate mode: no program runs dry while slower
+    /// co-runners are still being measured). The shared side of the
+    /// hierarchy is the chain `shared_cfgs[0] → shared_cfgs[1] → … →
+    /// DRAM` (an L2, optionally followed by an L3). `seed` feeds
+    /// replacement-policy randomness. Structural configuration problems
+    /// come back as [`SimError::InvalidConfig`].
     pub fn try_new_with_hierarchy(
         slots: Vec<CoreSlot>,
         shared_cfgs: Vec<CacheConfig>,
@@ -228,20 +178,20 @@ impl Cmp {
             ));
         }
         for c in &shared_cfgs {
-            c.try_validate().map_err(SimError::InvalidConfig)?;
+            c.validate().map_err(SimError::InvalidConfig)?;
             if c.line_bytes != shared_cfgs[0].line_bytes {
                 return bad("mixed line sizes are not modelled".into());
             }
         }
-        dram.try_validate().map_err(SimError::InvalidConfig)?;
+        dram.validate().map_err(SimError::InvalidConfig)?;
         let l2 = &shared_cfgs[0];
         let n = slots.len();
         let mut cores = Vec::with_capacity(n);
         let mut l1s = Vec::with_capacity(n);
         let mut l1_analyzers = Vec::with_capacity(n);
         for (i, (slot, mut trace)) in slots.into_iter().zip(traces).enumerate() {
-            slot.core.try_validate().map_err(SimError::InvalidConfig)?;
-            slot.l1.try_validate().map_err(SimError::InvalidConfig)?;
+            slot.core.validate().map_err(SimError::InvalidConfig)?;
+            slot.l1.validate().map_err(SimError::InvalidConfig)?;
             if slot.l1.line_bytes != l2.line_bytes {
                 return bad("mixed line sizes are not modelled".into());
             }
@@ -467,9 +417,12 @@ impl Cmp {
     /// Runtime reconfiguration of core `i`'s out-of-order structures
     /// (reconfigurable-architecture support; see case study I). The paper
     /// charges four cycles per reconfiguration operation — callers model
-    /// that by spending [`Cmp::run_for`] cycles at the decision point.
-    pub fn reconfigure_core(&mut self, i: usize, cfg: CoreConfig) {
+    /// that by spending [`Cmp::try_run_for`] cycles at the decision point.
+    /// An invalid `cfg` is [`SimError::InvalidConfig`].
+    pub fn reconfigure_core(&mut self, i: usize, cfg: CoreConfig) -> Result<(), SimError> {
+        cfg.validate().map_err(SimError::InvalidConfig)?;
         self.cores[i].reconfigure(cfg);
+        Ok(())
     }
 
     /// Runtime reconfiguration of core `i`'s L1 parallelism resources.
@@ -483,7 +436,7 @@ impl Cmp {
     }
 
     /// A full report for core `i`; `cpi_exe` comes from a perfect-cache
-    /// run of the same trace (see [`crate::System::measure_cpi_exe`]).
+    /// run of the same trace (see [`crate::System::try_measure_cpi_exe`]).
     pub fn report_for(&self, i: usize, cpi_exe: f64) -> SystemReport {
         let mut r = SystemReport {
             core: *self.cores[i].stats(),
@@ -534,12 +487,6 @@ impl Cmp {
     /// Run until core 0 has retired `instructions` more instructions (or
     /// every core finishes), then reset measurement windows. Returns the
     /// warmup cycle count.
-    pub fn warm_up(&mut self, instructions: u64) -> u64 {
-        self.try_warm_up(instructions)
-            .unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Fallible variant of [`Cmp::warm_up`].
     pub fn try_warm_up(&mut self, instructions: u64) -> Result<u64, SimError> {
         let target = self.cores[0].retired() + instructions;
         while self.cores[0].retired() < target && !self.all_finished() {
@@ -557,12 +504,6 @@ impl Cmp {
     /// windows — the multiprogrammed warmup used by the scheduling study,
     /// where cores progress at very different rates. Returns the warmup
     /// cycle count.
-    pub fn warm_up_all(&mut self, instructions: u64) -> u64 {
-        self.try_warm_up_all(instructions)
-            .unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Fallible variant of [`Cmp::warm_up_all`].
     pub fn try_warm_up_all(&mut self, instructions: u64) -> Result<u64, SimError> {
         let targets: Vec<u64> = self
             .cores
@@ -583,12 +524,6 @@ impl Cmp {
         let warmup_cycles = self.now;
         self.reset_measurement();
         Ok(warmup_cycles)
-    }
-
-    /// Advance one cycle, panicking if the deadlock watchdog fires. See
-    /// [`Cmp::try_step`] for the fallible variant.
-    pub fn step(&mut self) {
-        self.try_step().unwrap_or_else(|e| panic!("{e}")); // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
     }
 
     /// Advance one cycle. Returns [`SimError::Deadlock`] if no core has
@@ -1118,11 +1053,6 @@ impl Cmp {
     /// the memory system (posted stores may still be in flight when the
     /// last instruction retires; their fills, evictions and writebacks
     /// complete during the drain). Returns whether all cores finished.
-    pub fn run(&mut self, max_cycles: u64) -> bool {
-        self.try_run(max_cycles).unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Fallible variant of [`Cmp::run`].
     pub fn try_run(&mut self, max_cycles: u64) -> Result<bool, SimError> {
         while self.now < max_cycles {
             if self.all_finished() {
@@ -1144,26 +1074,18 @@ impl Cmp {
     }
 
     /// Run exactly `cycles` more cycles (finished cores idle).
-    pub fn run_for(&mut self, cycles: u64) {
-        self.try_run_for(cycles).unwrap_or_else(|e| panic!("{e}")); // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Fallible variant of [`Cmp::run_for`].
     pub fn try_run_for(&mut self, cycles: u64) -> Result<(), SimError> {
         self.try_run_for_with(cycles, &mut NullRecorder)
     }
 
-    /// Recorder-aware variant of [`Cmp::try_run_for`].
+    /// Recorder-aware variant of [`Cmp::try_run_for`]: the budgeted loop
+    /// with a cap no run can reach.
     pub fn try_run_for_with<R: Recorder>(
         &mut self,
         cycles: u64,
         rec: &mut R,
     ) -> Result<(), SimError> {
-        let end = self.now + cycles;
-        while self.now < end {
-            self.advance_with(rec, end)?;
-        }
-        Ok(())
+        self.try_run_for_with_budget(cycles, rec, u64::MAX)
     }
 
     /// Budgeted variant of [`Cmp::try_run_for_with`]: run `cycles` more
@@ -1197,12 +1119,6 @@ impl Cmp {
     /// (or finished), within `max_cycles`. Returns whether all reached
     /// their target. The fixed-work-per-core measurement window of the
     /// scheduling study.
-    pub fn run_until_all_retired(&mut self, instructions: u64, max_cycles: u64) -> bool {
-        self.try_run_until_all_retired(instructions, max_cycles)
-            .unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Fallible variant of [`Cmp::run_until_all_retired`].
     pub fn try_run_until_all_retired(
         &mut self,
         instructions: u64,
@@ -1242,6 +1158,18 @@ mod tests {
         }
     }
 
+    /// One-lap CMP over the default L2 and DRAM.
+    fn build(slots: Vec<CoreSlot>, traces: Vec<Trace>) -> Result<Cmp, SimError> {
+        Cmp::try_new_with_hierarchy(
+            slots,
+            vec![CacheConfig::l2_default()],
+            DramConfig::ddr3_default(),
+            traces,
+            1,
+            7,
+        )
+    }
+
     fn tiny_trace(n: usize) -> Trace {
         // Sweep 16 lines repeatedly with some compute.
         (0..n)
@@ -1257,14 +1185,8 @@ mod tests {
 
     #[test]
     fn single_core_completes_and_counters_are_consistent() {
-        let mut cmp = Cmp::new(
-            vec![slot(32)],
-            CacheConfig::l2_default(),
-            DramConfig::ddr3_default(),
-            vec![tiny_trace(3000)],
-            7,
-        );
-        assert!(cmp.run(1_000_000), "did not finish");
+        let mut cmp = build(vec![slot(32)], vec![tiny_trace(3000)]).unwrap();
+        assert!(cmp.try_run(1_000_000).unwrap(), "did not finish");
         assert_eq!(cmp.core_stats(0).retired, 3000);
         let l1 = cmp.l1_counters(0);
         l1.validate().unwrap();
@@ -1281,14 +1203,8 @@ mod tests {
         // Stream far beyond L1 and L2 capacity.
         let gen = lpm_trace::gen::StrideGen::new(4, 64, 8 << 20, 0.5);
         let trace = gen.generate(20_000, 3);
-        let mut cmp = Cmp::new(
-            vec![slot(4)],
-            CacheConfig::l2_default(),
-            DramConfig::ddr3_default(),
-            vec![trace],
-            7,
-        );
-        assert!(cmp.run(5_000_000));
+        let mut cmp = build(vec![slot(4)], vec![trace]).unwrap();
+        assert!(cmp.try_run(5_000_000).unwrap());
         let l1 = cmp.l1_counters(0);
         assert!(l1.mr() > 0.1, "stream must miss L1: MR1 {}", l1.mr());
         assert!(cmp.dram_analyzer().accesses > 100, "misses must reach DRAM");
@@ -1300,14 +1216,8 @@ mod tests {
     #[test]
     fn two_cores_have_disjoint_footprints() {
         let traces = vec![tiny_trace(2000), tiny_trace(2000)];
-        let mut cmp = Cmp::new(
-            vec![slot(32), slot(32)],
-            CacheConfig::l2_default(),
-            DramConfig::ddr3_default(),
-            traces,
-            7,
-        );
-        assert!(cmp.run(1_000_000));
+        let mut cmp = build(vec![slot(32), slot(32)], traces).unwrap();
+        assert!(cmp.try_run(1_000_000).unwrap());
         // Identical traces, but relocated: both cores behave alike and
         // the L2 saw roughly twice the lines of a single run.
         assert_eq!(cmp.core_stats(0).retired, 2000);
@@ -1323,14 +1233,8 @@ mod tests {
         let gen = lpm_trace::gen::RandomGen::new(32 << 10, 0.5, 0.2);
         let t = gen.generate(30_000, 5);
         let run_with = |kib: u64| {
-            let mut cmp = Cmp::new(
-                vec![slot(kib)],
-                CacheConfig::l2_default(),
-                DramConfig::ddr3_default(),
-                vec![t.clone()],
-                7,
-            );
-            assert!(cmp.run(20_000_000));
+            let mut cmp = build(vec![slot(kib)], vec![t.clone()]).unwrap();
+            assert!(cmp.try_run(20_000_000).unwrap());
             cmp.l1_counters(0).mr()
         };
         let small = run_with(4);
@@ -1349,14 +1253,8 @@ mod tests {
             let mut l1 = CacheConfig::l1_default();
             l1.mshrs = mshrs;
             l1.ports = ports;
-            let mut cmp = Cmp::new(
-                vec![CoreSlot { core, l1 }],
-                CacheConfig::l2_default(),
-                DramConfig::ddr3_default(),
-                vec![t.clone()],
-                7,
-            );
-            assert!(cmp.run(20_000_000));
+            let mut cmp = build(vec![CoreSlot { core, l1 }], vec![t.clone()]).unwrap();
+            assert!(cmp.try_run(20_000_000).unwrap());
             cmp.core_stats(0).ipc()
         };
         let weak = run_with(CoreConfig::small(), 2, 1);
@@ -1369,14 +1267,8 @@ mod tests {
 
     #[test]
     fn run_for_advances_exactly() {
-        let mut cmp = Cmp::new(
-            vec![slot(32)],
-            CacheConfig::l2_default(),
-            DramConfig::ddr3_default(),
-            vec![tiny_trace(100_000)],
-            7,
-        );
-        cmp.run_for(500);
+        let mut cmp = build(vec![slot(32)], vec![tiny_trace(100_000)]).unwrap();
+        cmp.try_run_for(500).unwrap();
         assert_eq!(cmp.now(), 500);
     }
 
@@ -1388,20 +1280,15 @@ mod tests {
         // tick `memory_idle()` cycle-by-cycle; it now leaps between
         // events — the cycle count at which the memory system quiesces
         // must not move.
-        let build = || {
-            Cmp::new(
-                vec![slot(4)],
-                CacheConfig::l2_default(),
-                DramConfig::ddr3_default(),
-                vec![lpm_trace::gen::StrideGen::new(4, 64, 8 << 20, 0.5).generate(20_000, 3)],
-                7,
-            )
+        let make = || {
+            let t = lpm_trace::gen::StrideGen::new(4, 64, 8 << 20, 0.5).generate(20_000, 3);
+            build(vec![slot(4)], vec![t]).unwrap()
         };
-        let mut fast = build();
-        let mut reference = build();
+        let mut fast = make();
+        let mut reference = make();
         reference.set_reference_stepping(true);
-        assert!(fast.run(5_000_000));
-        assert!(reference.run(5_000_000));
+        assert!(fast.try_run(5_000_000).unwrap());
+        assert!(reference.try_run(5_000_000).unwrap());
         assert_eq!(
             fast.now(),
             reference.now(),
@@ -1420,13 +1307,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one trace per core")]
     fn trace_count_mismatch_rejected() {
-        let _ = Cmp::new(
-            vec![slot(32), slot(32)],
-            CacheConfig::l2_default(),
-            DramConfig::ddr3_default(),
-            vec![tiny_trace(10)],
-            7,
-        );
+        build(vec![slot(32), slot(32)], vec![tiny_trace(10)]).unwrap();
     }
 }
 
@@ -1457,16 +1338,17 @@ mod l3_tests {
         // in steady state the L3 absorbs what the L2 cannot.
         let gen = lpm_trace::gen::StrideGen::new(4, 8, 1 << 20, 0.5);
         let trace = gen.generate(30_000, 3);
-        let mut cmp = Cmp::new_with_hierarchy(
+        let mut cmp = Cmp::try_new_with_hierarchy(
             vec![slot()],
             vec![CacheConfig::l2_default(), l3_cfg()],
             DramConfig::ddr3_default(),
             vec![trace],
             1,
             7,
-        );
+        )
+        .unwrap();
         assert_eq!(cmp.num_shared_levels(), 2);
-        assert!(cmp.run(80_000_000), "did not finish");
+        assert!(cmp.try_run(80_000_000).unwrap(), "did not finish");
         let l1 = cmp.l1_counters(0);
         let l2 = cmp.l2_counters();
         let l3 = cmp.l3_counters().expect("L3 configured");
@@ -1484,15 +1366,16 @@ mod l3_tests {
     fn l3_report_exposes_four_boundaries() {
         let gen = lpm_trace::gen::StrideGen::new(4, 64, 1 << 20, 0.5);
         let trace = gen.generate(20_000, 3);
-        let mut cmp = Cmp::new_with_hierarchy(
+        let mut cmp = Cmp::try_new_with_hierarchy(
             vec![slot()],
             vec![CacheConfig::l2_default(), l3_cfg()],
             DramConfig::ddr3_default(),
             vec![trace],
             1,
             7,
-        );
-        assert!(cmp.run(80_000_000));
+        )
+        .unwrap();
+        assert!(cmp.try_run(80_000_000).unwrap());
         let report = cmp.report_for(0, 0.3);
         assert!(report.l3.is_some());
         let lpmrs = report.lpmrs().unwrap();
@@ -1506,14 +1389,15 @@ mod l3_tests {
         // One cold load through each depth; measure completion latency.
         let latency_of = |shared: Vec<CacheConfig>, warm: &[u64], probe: u64| -> u64 {
             let trace: Trace = std::iter::once(Instr::load(probe)).collect();
-            let mut cmp = Cmp::new_with_hierarchy(
+            let mut cmp = Cmp::try_new_with_hierarchy(
                 vec![slot()],
                 shared,
                 DramConfig::ddr3_default(),
                 vec![trace],
                 1,
                 7,
-            );
+            )
+            .unwrap();
             // Pre-warm chosen levels functionally via fills.
             for &line in warm {
                 // fill deepest-first so upper levels get it too if listed
@@ -1523,7 +1407,7 @@ mod l3_tests {
                 // apply fills
                 cmp.shared[0].step(u64::MAX - 1);
             }
-            assert!(cmp.run(1_000_000));
+            assert!(cmp.try_run(1_000_000).unwrap());
             cmp.finished_at(0).unwrap()
         };
         let l2_cfg = CacheConfig::l2_default();
@@ -1560,14 +1444,15 @@ mod mlp_partition_tests {
         let victim = lpm_trace::gen::ChaseGen::new(8 << 20, 0.4).generate(12_000, 4);
         let mut l2 = CacheConfig::l2_default();
         l2.mshrs = 8; // scarce shared miss resources
-        let mut cmp = Cmp::new_looping(
+        let mut cmp = Cmp::try_new_with_hierarchy(
             vec![slot(), slot()],
-            l2,
+            vec![l2],
             DramConfig::ddr3_default(),
             vec![hog, victim],
             100,
             7,
-        );
+        )
+        .unwrap();
         cmp.set_mlp_partition(quota);
         cmp
     }
@@ -1576,7 +1461,7 @@ mod mlp_partition_tests {
     fn partition_protects_the_latency_sensitive_core() {
         let victim_progress = |quota: Option<u32>| -> u64 {
             let mut cmp = build(quota);
-            cmp.run_for(400_000);
+            cmp.try_run_for(400_000).unwrap();
             cmp.retired(1)
         };
         let free = victim_progress(None);
@@ -1591,7 +1476,7 @@ mod mlp_partition_tests {
     fn quota_bounds_are_respected_and_balanced() {
         let mut cmp = build(Some(2));
         for _ in 0..100_000 {
-            cmp.step();
+            cmp.try_step().unwrap();
             assert!(
                 cmp.l2_outstanding.iter().all(|&o| o <= 2),
                 "quota violated: {:?}",
@@ -1602,7 +1487,7 @@ mod mlp_partition_tests {
         // drain; outstanding counters must return to zero.
         let mut spare = 0;
         while spare < 200_000 && cmp.l2_outstanding.iter().any(|&o| o > 0) {
-            cmp.step();
+            cmp.try_step().unwrap();
             spare += 1;
         }
         // (cores keep issuing, so just check the invariant held throughout)

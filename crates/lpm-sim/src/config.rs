@@ -34,26 +34,18 @@ impl Default for SystemConfig {
 }
 
 impl SystemConfig {
-    /// Validate all components.
-    pub fn validate(&self) {
-        if let Err(msg) = self.try_validate() {
-            // lpm-lint: allow(P001) documented panicking wrapper; fallible callers use try_validate
-            panic!("{msg}");
-        }
-    }
-
     /// Validate all components, returning a descriptive message on
-    /// violation instead of panicking.
-    pub fn try_validate(&self) -> Result<(), String> {
-        self.core.try_validate()?;
-        self.l1.try_validate()?;
-        self.l2.try_validate()?;
-        self.dram.try_validate()?;
+    /// violation.
+    pub fn validate(&self) -> Result<(), String> {
+        self.core.validate()?;
+        self.l1.validate()?;
+        self.l2.validate()?;
+        self.dram.validate()?;
         if self.l1.line_bytes != self.l2.line_bytes {
             return Err("mixed line sizes between levels are not modelled".into());
         }
         if let Some(l3) = &self.l3 {
-            l3.try_validate()?;
+            l3.validate()?;
             if l3.line_bytes != self.l2.line_bytes {
                 return Err("mixed line sizes between levels are not modelled".into());
             }
@@ -68,7 +60,7 @@ mod tests {
 
     #[test]
     fn default_validates() {
-        SystemConfig::default().validate();
+        SystemConfig::default().validate().unwrap();
     }
 
     #[test]
@@ -76,6 +68,6 @@ mod tests {
     fn mixed_line_sizes_rejected() {
         let mut c = SystemConfig::default();
         c.l2.line_bytes = 128;
-        c.validate();
+        c.validate().unwrap();
     }
 }

@@ -4,9 +4,8 @@
 //! unit tests, hostile to embedders (the CLI, the online controller, the
 //! fault-injection harness) that need to distinguish "the configuration
 //! is wrong" from "the simulated machine wedged" and keep going or report
-//! a diagnostic. [`SimError`] is the crate's error currency; the legacy
-//! panicking entry points (`Cmp::new*`, `Cmp::step`, `Cmp::run*`) are
-//! thin wrappers over the `try_*` variants that produce these values.
+//! a diagnostic. [`SimError`] is the crate's error currency: every
+//! constructor and run loop of `Cmp` and `System` returns it.
 
 use std::fmt;
 
@@ -88,8 +87,8 @@ mod tests {
 
     #[test]
     fn display_keeps_legacy_watchdog_prefix() {
-        // The panicking `Cmp::step` wrapper formats this error; the text
-        // must keep the historical prefix that downstream tooling greps.
+        // Callers print this error; the text must keep the historical
+        // prefix that downstream tooling greps.
         let e = SimError::Deadlock {
             since: 10,
             now: 500_011,

@@ -15,8 +15,8 @@
 //!   the Table I design-space exploration.
 //! * [`report`] — measurement reports: per-layer C-AMAT parameters,
 //!   LPMR1/2/3, stall time, APC values.
-//! * [`error`] — the [`SimError`] type returned by the fallible (`try_*`)
-//!   entry points (deadlock watchdog, configuration validation).
+//! * [`error`] — the [`SimError`] type every constructor and run loop
+//!   returns (deadlock watchdog, configuration validation).
 //! * [`fault`] — deterministic, seeded fault injection (DRAM latency
 //!   spikes, refresh storms, cache-bank stalls, MSHR exhaustion, counter
 //!   sensor noise) for robustness testing.
@@ -35,14 +35,15 @@
 //! # Example
 //!
 //! ```
-//! use lpm_sim::{System, SystemConfig};
+//! use lpm_sim::{SimError, System, SystemConfig};
 //! use lpm_trace::{Generator, SpecWorkload};
 //!
 //! let trace = SpecWorkload::Bzip2Like.generator().generate(20_000, 1);
-//! let mut sys = System::new(SystemConfig::default(), trace, 1);
-//! sys.run(2_000_000);
+//! let mut sys = System::try_new_looping(SystemConfig::default(), trace, 1, 1)?;
+//! sys.try_run(2_000_000)?;
 //! let report = sys.report();
 //! assert!(report.l1.mr() < 0.2, "bzip2-like fits a 32 KiB L1");
+//! # Ok::<(), SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]

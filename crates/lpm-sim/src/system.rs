@@ -18,36 +18,18 @@ pub struct System {
 }
 
 impl System {
-    /// Build the system and measure `CPIexe` by running `trace` against a
-    /// perfect cache with the L1's hit latency (the paper's "perfect
-    /// cache, no miss occurs" definition).
-    pub fn new(cfg: SystemConfig, trace: Trace, seed: u64) -> Self {
-        Self::new_looping(cfg, trace, 1, seed)
-    }
-
-    /// Like [`System::new`], but the core loops the trace `repeats` times
-    /// (rate-mode). Combine with [`System::measure_steady`] for fully
-    /// warmed steady-state measurements.
-    pub fn new_looping(cfg: SystemConfig, trace: Trace, repeats: u32, seed: u64) -> Self {
-        // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-        Self::try_new_looping(cfg, trace, repeats, seed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`System::new`].
-    pub fn try_new(cfg: SystemConfig, trace: Trace, seed: u64) -> Result<Self, SimError> {
-        Self::try_new_looping(cfg, trace, 1, seed)
-    }
-
-    /// Fallible variant of [`System::new_looping`]: configuration and
-    /// calibration problems come back as [`SimError`] instead of
-    /// panicking.
+    /// Build the system, its core looping `trace` `repeats` times (rate
+    /// mode; `1` runs it once), and measure `CPIexe` by running `trace`
+    /// against a perfect cache with the L1's hit latency (the paper's
+    /// "perfect cache, no miss occurs" definition). Configuration and
+    /// calibration problems come back as [`SimError`].
     pub fn try_new_looping(
         cfg: SystemConfig,
         trace: Trace,
         repeats: u32,
         seed: u64,
     ) -> Result<Self, SimError> {
-        cfg.try_validate().map_err(SimError::InvalidConfig)?;
+        cfg.validate().map_err(SimError::InvalidConfig)?;
         let cpi_exe = Self::try_measure_cpi_exe(&cfg, &trace)?;
         let mut shared = vec![cfg.l2];
         if let Some(l3) = cfg.l3 {
@@ -67,22 +49,31 @@ impl System {
         Ok(System { cmp, cpi_exe })
     }
 
-    /// Steady-state measurement: run `warmup` instructions unmeasured,
-    /// then measure the next `measure` instructions. Returns whether the
-    /// measurement window completed within `max_cycles` additional cycles.
-    pub fn measure_steady(&mut self, warmup: u64, measure: u64, max_cycles: u64) -> bool {
-        self.cmp.warm_up(warmup);
-        let budget = self.cmp.now() + max_cycles;
-        self.cmp.run_until_all_retired(measure, budget)
+    /// The steady-state measurement behind Table I, Fig. 6/7 and the
+    /// Eq. 12 validation (the role SimPoint sampling plays in the
+    /// paper): loop `trace`, warm up for one lap, then measure one lap.
+    /// A window that does not complete within `len × 1200 + 2M` cycles
+    /// of the warmup is [`SimError::Unconverged`].
+    pub fn steady_report(
+        cfg: SystemConfig,
+        trace: Trace,
+        seed: u64,
+    ) -> Result<SystemReport, SimError> {
+        let len = trace.len() as u64;
+        let mut sys = Self::try_new_looping(cfg, trace, 10_000, seed)?;
+        sys.cmp.try_warm_up(len)?;
+        let budget = sys.now() + len * 1200 + 2_000_000;
+        if !sys.cmp.try_run_until_all_retired(len, budget)? {
+            return Err(SimError::Unconverged(format!(
+                "steady-state window of {len} instructions did not complete"
+            )));
+        }
+        Ok(sys.report())
     }
 
     /// `CPIexe` of `trace` on `cfg`'s core with a perfect cache.
-    pub fn measure_cpi_exe(cfg: &SystemConfig, trace: &Trace) -> f64 {
-        Self::try_measure_cpi_exe(cfg, trace).unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Fallible variant of [`System::measure_cpi_exe`].
     pub fn try_measure_cpi_exe(cfg: &SystemConfig, trace: &Trace) -> Result<f64, SimError> {
+        cfg.core.validate().map_err(SimError::InvalidConfig)?;
         let mut core = Core::new(cfg.core, trace.clone());
         let mut mem = PerfectMemory::new(cfg.l1.hit_latency);
         let mut now = 0u64;
@@ -109,31 +100,13 @@ impl System {
         self.cpi_exe
     }
 
-    /// Run until the trace drains or `max_cycles` elapse; returns whether
-    /// it drained.
-    pub fn run(&mut self, max_cycles: u64) -> bool {
-        self.cmp.run(max_cycles)
-    }
-
-    /// Fallible variant of [`System::run`].
+    /// Run until the trace drains or absolute cycle `max_cycles`; returns
+    /// whether it drained.
     pub fn try_run(&mut self, max_cycles: u64) -> Result<bool, SimError> {
         self.cmp.try_run(max_cycles)
     }
 
-    /// Run the first `instructions` as unmeasured warmup (cold-cache
-    /// exclusion), then continue measured until the trace drains or
-    /// `max_cycles` elapse.
-    pub fn run_with_warmup(&mut self, instructions: u64, max_cycles: u64) -> bool {
-        self.cmp.warm_up(instructions);
-        self.cmp.run(max_cycles)
-    }
-
     /// Advance exactly `cycles`.
-    pub fn run_for(&mut self, cycles: u64) {
-        self.cmp.run_for(cycles);
-    }
-
-    /// Fallible variant of [`System::run_for`].
     pub fn try_run_for(&mut self, cycles: u64) -> Result<(), SimError> {
         self.cmp.try_run_for(cycles)
     }
@@ -216,7 +189,7 @@ mod tests {
     #[test]
     fn cpi_exe_is_sane() {
         let trace = SpecWorkload::GamessLike.generator().generate(10_000, 1);
-        let sys = System::new(SystemConfig::default(), trace, 1);
+        let sys = System::try_new_looping(SystemConfig::default(), trace, 1, 1).unwrap();
         let cpi = sys.cpi_exe();
         // A 4-wide core on a mixed trace: CPIexe well below 2 and above
         // the 0.25 ideal.
@@ -226,8 +199,8 @@ mod tests {
     #[test]
     fn report_exposes_consistent_measurements() {
         let trace = SpecWorkload::Bzip2Like.generator().generate(20_000, 2);
-        let mut sys = System::new(SystemConfig::default(), trace, 2);
-        assert!(sys.run(10_000_000));
+        let mut sys = System::try_new_looping(SystemConfig::default(), trace, 1, 2).unwrap();
+        assert!(sys.try_run(10_000_000).unwrap());
         let r = sys.report();
         r.check(1.0).unwrap();
         // fmem close to the workload profile.
@@ -246,8 +219,8 @@ mod tests {
     #[test]
     fn memory_bound_workload_shows_mismatch() {
         let trace = SpecWorkload::McfLike.generator().generate(20_000, 3);
-        let mut sys = System::new(SystemConfig::default(), trace, 3);
-        assert!(sys.run(50_000_000));
+        let mut sys = System::try_new_looping(SystemConfig::default(), trace, 1, 3).unwrap();
+        assert!(sys.try_run(50_000_000).unwrap());
         let r = sys.report();
         let lpmrs = r.lpmrs().unwrap();
         // A pointer chase over 2 MiB on a 32 KiB L1: LPMR1 well above 1.
@@ -268,14 +241,14 @@ mod tests {
         // The discriminating signal is the gap to a memory-bound workload.
         let resident = {
             let t = SpecWorkload::Bzip2Like.generator().generate(20_000, 4);
-            let mut sys = System::new(SystemConfig::default(), t, 4);
-            assert!(sys.run(10_000_000));
+            let mut sys = System::try_new_looping(SystemConfig::default(), t, 1, 4).unwrap();
+            assert!(sys.try_run(10_000_000).unwrap());
             sys.report()
         };
         let bound = {
             let t = SpecWorkload::McfLike.generator().generate(20_000, 4);
-            let mut sys = System::new(SystemConfig::default(), t, 4);
-            assert!(sys.run(50_000_000));
+            let mut sys = System::try_new_looping(SystemConfig::default(), t, 1, 4).unwrap();
+            assert!(sys.try_run(50_000_000).unwrap());
             sys.report()
         };
         let r1 = resident.lpmrs().unwrap().l1.value();

@@ -102,14 +102,15 @@ fn build(s: &Scenario) -> Cmp {
         },
     };
     let traces: Vec<Trace> = (0..s.n_cores).map(|i| trace_for(s, i)).collect();
-    let mut cmp = Cmp::new_looping(
+    let mut cmp = Cmp::try_new_with_hierarchy(
         vec![slot(s.l1_kib); s.n_cores],
-        CacheConfig::l2_default(),
+        vec![CacheConfig::l2_default()],
         DramConfig::ddr3_default(),
         traces,
         2,
         s.seed,
-    );
+    )
+    .expect("valid config");
     if let Some(cfg) = fault_for(s) {
         cmp.enable_faults(cfg);
     }

@@ -18,12 +18,8 @@ use lpm_trace::{Generator, SpecWorkload};
 /// Relative gap between measured C-AMAT1 and its Eq. (4) reconstruction.
 fn recursion_gap(w: SpecWorkload, n: usize, seed: u64) -> (f64, f64, f64) {
     let trace = w.generator().generate(n, seed);
-    let mut sys = System::new_looping(SystemConfig::default(), trace, 10_000, seed);
-    assert!(
-        sys.measure_steady(n as u64, n as u64, n as u64 * 1200 + 2_000_000),
-        "{w} window incomplete"
-    );
-    let r = sys.report();
+    let r = System::steady_report(SystemConfig::default(), trace, seed)
+        .unwrap_or_else(|e| panic!("{w}: {e}"));
     let l1 = r.l1;
     let camat1 = r.camat1();
     let camat2 = r.camat2();
@@ -58,9 +54,7 @@ fn eq4_cross_layer_term_vanishes_for_resident_workloads() {
     // bzip2-like almost never misses L1: the recursion degenerates to the
     // hit component and the cross-layer term is negligible.
     let trace = SpecWorkload::Bzip2Like.generator().generate(20_000, 5);
-    let mut sys = System::new_looping(SystemConfig::default(), trace, 10_000, 5);
-    assert!(sys.measure_steady(20_000, 20_000, 50_000_000));
-    let r = sys.report();
+    let r = System::steady_report(SystemConfig::default(), trace, 5).unwrap();
     let l1 = r.l1;
     let hit_component = l1.hit_time as f64 / l1.ch();
     assert!(
@@ -78,9 +72,8 @@ fn eta_reflects_hit_miss_overlap_strength() {
     // chase cannot (η near 1).
     let eta_of = |w: SpecWorkload| -> f64 {
         let trace = w.generator().generate(20_000, 5);
-        let mut sys = System::new_looping(SystemConfig::default(), trace, 10_000, 5);
-        assert!(sys.measure_steady(20_000, 20_000, 50_000_000));
-        sys.report().l1.eta_extended().unwrap_or(0.0)
+        let r = System::steady_report(SystemConfig::default(), trace, 5).unwrap();
+        r.l1.eta_extended().unwrap_or(0.0)
     };
     let chase = eta_of(SpecWorkload::McfLike);
     let resident_or_mixed = eta_of(SpecWorkload::GamessLike);

@@ -15,6 +15,19 @@ fn tiny_l1() -> CacheConfig {
     l1
 }
 
+/// One core over the default L2 and DRAM, running `trace` once.
+fn one_core(core: CoreConfig, l1: CacheConfig, trace: Trace) -> Cmp {
+    Cmp::try_new_with_hierarchy(
+        vec![CoreSlot { core, l1 }],
+        vec![CacheConfig::l2_default()],
+        DramConfig::ddr3_default(),
+        vec![trace],
+        1,
+        7,
+    )
+    .expect("valid config")
+}
+
 #[test]
 fn store_dirty_lines_are_written_back_to_l2() {
     // Store-sweep twice the L1 capacity: every line gets dirty, half get
@@ -23,17 +36,8 @@ fn store_dirty_lines_are_written_back_to_l2() {
     let trace: Trace = (0..lines as u64)
         .flat_map(|i| [Instr::store(i * 64), Instr::compute()])
         .collect();
-    let mut cmp = Cmp::new(
-        vec![CoreSlot {
-            core: CoreConfig::small(),
-            l1: tiny_l1(),
-        }],
-        CacheConfig::l2_default(),
-        DramConfig::ddr3_default(),
-        vec![trace],
-        7,
-    );
-    assert!(cmp.run(10_000_000));
+    let mut cmp = one_core(CoreConfig::small(), tiny_l1(), trace);
+    assert!(cmp.try_run(10_000_000).unwrap());
     let l1 = cmp.l1_stats(0);
     assert!(l1.writebacks > 0, "no L1 writebacks");
     // The L2 saw both the demand fetch-for-write traffic and the
@@ -57,17 +61,8 @@ fn l2_evictions_reach_dram_as_writes() {
     let mut l1 = tiny_l1();
     l1.mshrs = 16;
     l1.ports = 4;
-    let mut cmp = Cmp::new(
-        vec![CoreSlot {
-            core: CoreConfig::big(),
-            l1,
-        }],
-        CacheConfig::l2_default(),
-        DramConfig::ddr3_default(),
-        vec![trace],
-        7,
-    );
-    assert!(cmp.run(100_000_000));
+    let mut cmp = one_core(CoreConfig::big(), l1, trace);
+    assert!(cmp.try_run(100_000_000).unwrap());
     let d = cmp.dram_stats();
     assert!(d.writes > 0, "no DRAM writes observed");
     assert!(d.reads > 0, "write-allocate fetches must read");
@@ -80,15 +75,12 @@ fn rewritten_lines_round_trip_without_losing_completions() {
     let n = 30_000;
     let gen = lpm_trace::gen::StrideGen::new(2, 64, 16 << 10, 0.6).with_stores(0.5);
     let trace = gen.generate(n, 3);
-    let mut sys = System::new(
-        SystemConfig {
-            l1: tiny_l1(),
-            ..SystemConfig::default()
-        },
-        trace,
-        3,
-    );
-    assert!(sys.run(100_000_000), "did not drain");
+    let cfg = SystemConfig {
+        l1: tiny_l1(),
+        ..SystemConfig::default()
+    };
+    let mut sys = System::try_new_looping(cfg, trace, 1, 3).unwrap();
+    assert!(sys.try_run(100_000_000).unwrap(), "did not drain");
     assert_eq!(sys.report().core.retired, n as u64);
 }
 
@@ -99,17 +91,8 @@ fn writeback_traffic_is_counted_at_l2_but_has_no_core_consumer() {
     let lines = 4 * (4 << 10) / 64;
     let trace: Trace = (0..lines as u64).map(|i| Instr::store(i * 64)).collect();
     let n = trace.len() as u64;
-    let mut cmp = Cmp::new(
-        vec![CoreSlot {
-            core: CoreConfig::small(),
-            l1: tiny_l1(),
-        }],
-        CacheConfig::l2_default(),
-        DramConfig::ddr3_default(),
-        vec![trace],
-        7,
-    );
-    assert!(cmp.run(50_000_000));
+    let mut cmp = one_core(CoreConfig::small(), tiny_l1(), trace);
+    assert!(cmp.try_run(50_000_000).unwrap());
     assert_eq!(cmp.core_stats(0).retired, n);
     assert_eq!(cmp.core_stats(0).mem_issued, n);
     assert!(cmp.l1_stats(0).writebacks > 0);
@@ -137,8 +120,8 @@ fn system_level_prefetch_accelerates_dependent_walk() {
     let run_with = |prefetch| {
         let mut cfg = SystemConfig::default();
         cfg.l1.prefetch = prefetch;
-        let mut sys = System::new(cfg, trace.clone(), 1);
-        assert!(sys.run(100_000_000));
+        let mut sys = System::try_new_looping(cfg, trace.clone(), 1, 1).unwrap();
+        assert!(sys.try_run(100_000_000).unwrap());
         (sys.now(), sys.cmp().l1_stats(0).useful_prefetches)
     };
     let (t_none, up_none) = run_with(lpm_cache::PrefetchKind::None);

@@ -28,11 +28,13 @@
 //!
 //! // Simulate a workload and read off its layered matching state.
 //! let trace = SpecWorkload::GccLike.generator().generate(20_000, 42);
-//! let mut sys = System::new(SystemConfig::default(), trace, 42);
-//! sys.run_with_warmup(10_000, 50_000_000);
+//! let mut sys = System::try_new_looping(SystemConfig::default(), trace, 1, 42)?;
+//! sys.cmp_mut().try_warm_up(10_000)?;
+//! sys.try_run(50_000_000)?;
 //! let report = sys.report();
-//! let lpmrs = report.lpmrs().unwrap();
+//! let lpmrs = report.lpmrs()?;
 //! assert!(lpmrs.l1.value() > 0.0);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]

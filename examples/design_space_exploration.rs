@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "IPC"
     );
     for (label, hw) in HwConfig::TABLE_I {
-        let row = measure_config(label, hw, &base, &trace, 1);
+        let row = measure_config(label, hw, &base, &trace, 1)?;
         println!(
             "{:<4} {:>5} {:>4} {:>4} {:>5} {:>5} {:>6} | {:>6.2} {:>6.2} {:>6.2} {:>6.1}% {:>6.2}",
             row.label,

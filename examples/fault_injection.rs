@@ -16,7 +16,7 @@ use lpm::core::design_space::HwConfig;
 use lpm::core::online::OnlineLpmController;
 use lpm::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed: u64 = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -24,22 +24,21 @@ fn main() {
 
     let trace = SpecWorkload::BwavesLike.generator().generate(600_000, 11);
     let base = HwConfig::A.apply(&SystemConfig::default());
-    let mut sys = System::try_new_looping(base, trace, 100, 1).expect("valid configuration");
-    sys.cmp_mut().warm_up(30_000);
+    let mut sys = System::try_new_looping(base, trace, 100, 1)?;
+    sys.cmp_mut().try_warm_up(30_000)?;
 
     // Storms: the DRAM controller goes dark for ~1200-cycle stretches,
     // roughly every 8k cycles — plus latency spikes, bank stalls, MSHR
     // squeezes and sensor noise on the analyzer counters.
     sys.enable_faults(FaultConfig::all(seed));
 
-    let mut ctl = OnlineLpmController::new_hardened(HwConfig::A, 20_000, Grain::Custom(0.5))
-        .expect("valid interval");
+    let mut ctl = OnlineLpmController::new_hardened(HwConfig::A, 20_000, Grain::Custom(0.5))?;
     println!("hardened online LPM under fault injection (seed {seed}):\n");
     println!(
         "{:>9} {:>7} {:>7} {:>6} {:>6}  {:<20} {:>4} {:>5}",
         "cycle", "LPMR1", "T1", "IPC", "budget", "action", "IW", "MSHR"
     );
-    let log = ctl.try_run(&mut sys, 16).expect("run survives faults");
+    let log = ctl.try_run(&mut sys, 16)?;
     for r in &log {
         println!(
             "{:>9} {:>7.2} {:>7.2} {:>6.2} {:>6}  {:<20} {:>4} {:>5}",
@@ -72,4 +71,5 @@ fn main() {
         log.len(),
         ctl.hw
     );
+    Ok(())
 }

@@ -16,7 +16,7 @@ use lpm::core::profile::profile_suite;
 use lpm::core::sched::evaluate_schedule;
 use lpm::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let layout = NucaLayout::small(&[4, 16, 32, 64], 2);
     let workloads = [
         SpecWorkload::GccLike,
@@ -41,7 +41,7 @@ fn main() {
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect();
-    let profiles = profile_suite(&workloads, &sizes, &base, instructions, seed);
+    let profiles = profile_suite(&workloads, &sizes, &base, instructions, seed)?;
     println!(
         "\n{:<22} {:>8} {:>8} {:>8} {:>8}   need(fg)",
         "workload", "APC1@4K", "@16K", "@32K", "@64K"
@@ -76,4 +76,5 @@ fn main() {
         "\n(the LPM-guided NUCA-SA finds its placement in polynomial time; \
          the full mapping space of the 16-core study has 63,063,000 entries)"
     );
+    Ok(())
 }

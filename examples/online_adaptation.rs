@@ -17,7 +17,7 @@ use lpm::prelude::*;
 use lpm::trace::gen::Mix;
 use lpm::trace::gen::{MixedGen, PhasedGen, RandomGen};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A two-phase program: 60k instructions of cache-resident compute,
     // then 60k instructions of MLP-heavy streaming, repeating.
     let compute_phase = RandomGen::new(2 << 10, 0.12, 0.2);
@@ -37,17 +37,16 @@ fn main() {
     let trace = phased.generate(240_000, 9);
 
     let base = HwConfig::A.apply(&SystemConfig::default());
-    let mut sys = System::new_looping(base, trace, 50, 1);
-    sys.cmp_mut().warm_up(20_000);
+    let mut sys = System::try_new_looping(base, trace, 50, 1)?;
+    sys.cmp_mut().try_warm_up(20_000)?;
 
-    let mut ctl =
-        OnlineLpmController::new(HwConfig::A, 15_000, Grain::Custom(0.5)).expect("valid interval");
+    let mut ctl = OnlineLpmController::new(HwConfig::A, 15_000, Grain::Custom(0.5))?;
     println!("phase-adaptive online LPM (15k-cycle intervals):\n");
     println!(
         "{:>9} {:>7} {:>7} {:>6}  {:<20} {:>4} {:>5}",
         "cycle", "LPMR1", "T1", "IPC", "action", "IW", "MSHR"
     );
-    let log = ctl.run(&mut sys, 30);
+    let log = ctl.try_run(&mut sys, 30)?;
     let mut grew = 0;
     let mut shed = 0;
     for r in &log {
@@ -71,4 +70,5 @@ fn main() {
         "\nthe controller grew hardware {grew} time(s) and shed \
          over-provision {shed} time(s) as the phases alternated."
     );
+    Ok(())
 }

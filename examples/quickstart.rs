@@ -9,7 +9,7 @@
 
 use lpm::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Pick a workload from the SPEC CPU2006-like suite and generate a
     //    deterministic instruction trace.
     let workload = SpecWorkload::GccLike;
@@ -20,8 +20,9 @@ fn main() {
     // 2. Build a single-core system (4-wide OoO core, 32 KiB L1, 2 MiB
     //    shared-style L2, DDR3-flavoured DRAM) and run it, excluding the
     //    first half as cache warmup.
-    let mut sys = System::new(SystemConfig::default(), trace, 42);
-    let drained = sys.run_with_warmup(instructions as u64 / 2, 200_000_000);
+    let mut sys = System::try_new_looping(SystemConfig::default(), trace, 1, 42)?;
+    sys.cmp_mut().try_warm_up(instructions as u64 / 2)?;
+    let drained = sys.try_run(200_000_000)?;
     assert!(drained, "trace did not finish");
 
     // 3. Read the measurements.
@@ -50,16 +51,16 @@ fn main() {
     );
 
     // The Eq. (2) ≡ Eq. (3) identity, measured on live hardware counters.
-    r.check(1.0).expect("C-AMAT identity holds");
+    r.check(1.0)?;
 
     // 4. Layered matching ratios (Eq. 9–11) and thresholds (Eq. 14/15).
-    let lpmrs = r.lpmrs().expect("report has all three layers");
+    let lpmrs = r.lpmrs()?;
     println!("\n== layered performance matching ==");
     println!("LPMR1 = {:.2}", lpmrs.l1.value());
     println!("LPMR2 = {:.2}", lpmrs.l2.value());
     println!("LPMR3 = {:.2}", lpmrs.l3.value());
 
-    let m = LpmMeasurement::from_report(&r, Grain::Coarse).expect("report is complete");
+    let m = LpmMeasurement::from_report(&r, Grain::Coarse)?;
     println!(
         "T1 (coarse, Δ=10%) = {:.3} → L1 {}",
         m.t1,
@@ -80,9 +81,7 @@ fn main() {
     );
 
     // 5. Stall time: Eq. (12) prediction vs simulator ground truth.
-    let predicted = r
-        .predicted_stall_eq12()
-        .expect("report has all three layers");
+    let predicted = r.predicted_stall_eq12()?;
     let measured = r.measured_stall();
     println!("\n== data stall time (cycles/instruction) ==");
     println!("Eq. 12 prediction : {predicted:.3}");
@@ -91,4 +90,5 @@ fn main() {
         "stall fraction    : {:.1}% of execution time",
         100.0 * measured / (r.core.cpi())
     );
+    Ok(())
 }

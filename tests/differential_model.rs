@@ -48,9 +48,10 @@ const CAMAT_IDENTITY_TOL: f64 = 0.75;
 const RECOMPUTE_TOL: f64 = 1e-9;
 
 /// Relative error budget for stall predicted by Eq. 12 vs the stall the
-/// core measured. The existing validation suite holds the *mean* below
-/// 0.15 across workloads; individual microkernels get more slack.
-const STALL_REL_TOL: f64 = 0.35;
+/// core measured. Worst observed: 0.228, on `stride-l1-resident` through
+/// [`STALL_ABS_FLOOR`] (an absolute error of 0.011 cy/instr on a
+/// near-zero stall); the budget leaves a 0.07 margin above it.
+const STALL_REL_TOL: f64 = 0.30;
 
 /// Denominator floor for the stall relative error, cycles per
 /// instruction. Relative error is uninformative for near-zero stalls (a
@@ -61,12 +62,13 @@ const STALL_ABS_FLOOR: f64 = 0.05;
 
 /// Relative error budget for the Eq. 13 (η-extended) stall form vs the
 /// measured stall. Eq. 13 rides on the Eq. 4 layer recursion, which is
-/// only approximately self-consistent for measured (windowed) counters,
-/// so it gets a looser budget than Eq. 12.
-const STALL13_REL_TOL: f64 = 0.60;
+/// only approximately self-consistent for measured (windowed) counters.
+/// Worst observed: 0.079, on `stride-stream`; the budget leaves a 0.04
+/// margin above it.
+const STALL13_REL_TOL: f64 = 0.12;
 
 /// Instructions per measurement window.
-const INSTRUCTIONS: u64 = 15_000;
+const INSTRUCTIONS: usize = 15_000;
 
 /// One deterministic workload under test.
 struct Case {
@@ -78,7 +80,7 @@ struct Case {
 /// fixed; the trace bytes and therefore the simulation are identical on
 /// every run.
 fn cases() -> Vec<Case> {
-    let n = INSTRUCTIONS as usize;
+    let n = INSTRUCTIONS;
     vec![
         Case {
             name: "stride-stream",
@@ -105,13 +107,8 @@ fn cases() -> Vec<Case> {
 
 /// Simulate one trace to steady state and return the measurement.
 fn measure(name: &str, trace: Trace) -> SystemReport {
-    let mut sys = System::new_looping(SystemConfig::default(), trace, 10_000, 5);
-    let budget = INSTRUCTIONS * 1200 + 2_000_000;
-    assert!(
-        sys.measure_steady(INSTRUCTIONS, INSTRUCTIONS, budget),
-        "{name} did not complete its measurement window"
-    );
-    sys.report()
+    System::steady_report(SystemConfig::default(), trace, 5)
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 /// Worst observed error per check, for the tolerance report.

@@ -15,9 +15,9 @@ use lpm::prelude::*;
 fn table1_shape() {
     let trace = SpecWorkload::BwavesLike.generator().generate(30_000, 11);
     let base = SystemConfig::default();
-    let a = measure_config("A", HwConfig::A, &base, &trace, 1);
-    let b = measure_config("B", HwConfig::B, &base, &trace, 1);
-    let c = measure_config("C", HwConfig::C, &base, &trace, 1);
+    let a = measure_config("A", HwConfig::A, &base, &trace, 1).unwrap();
+    let b = measure_config("B", HwConfig::B, &base, &trace, 1).unwrap();
+    let c = measure_config("C", HwConfig::C, &base, &trace, 1).unwrap();
     assert!(
         a.lpmr1 > b.lpmr1 && b.lpmr1 > c.lpmr1 * 0.95,
         "LPMR1 not decreasing: A={} B={} C={}",
@@ -38,7 +38,7 @@ fn fig6_shape() {
         SpecWorkload::GccLike,
         SpecWorkload::MilcLike,
     ];
-    let profiles = profile_suite(&ws, &FIG5_L1_SIZES, &SystemConfig::default(), 30_000, 5);
+    let profiles = profile_suite(&ws, &FIG5_L1_SIZES, &SystemConfig::default(), 30_000, 5).unwrap();
     let bzip = &profiles[0];
     let gcc = &profiles[1];
     let milc = &profiles[2];
@@ -60,7 +60,7 @@ fn fig6_shape() {
 #[test]
 fn fig7_shape() {
     let ws = [SpecWorkload::GamessLike, SpecWorkload::MilcLike];
-    let profiles = profile_suite(&ws, &FIG5_L1_SIZES, &SystemConfig::default(), 16_000, 5);
+    let profiles = profile_suite(&ws, &FIG5_L1_SIZES, &SystemConfig::default(), 16_000, 5).unwrap();
     let gamess = &profiles[0];
     let milc = &profiles[1];
     assert!(
@@ -85,7 +85,7 @@ fn fig8_shape_small() {
         SpecWorkload::XalancbmkLike,
     ];
     let base = SystemConfig::default();
-    let profiles = profile_suite(&ws, &FIG5_L1_SIZES, &base, 12_000, 3);
+    let profiles = profile_suite(&ws, &FIG5_L1_SIZES, &base, 12_000, 3).unwrap();
     // Entitlement Hsp (alone = best size) encodes placement quality even
     // when a small layout has little shared-resource contention.
     let hsp = |kind| evaluate_schedule(kind, &layout, &profiles, &base, 12_000, 3).hsp_entitled;

@@ -56,7 +56,7 @@ fn hardened_controller_survives_every_fault_class() {
         let trace = SpecWorkload::BwavesLike.generator().generate(200_000, 11);
         let base = HwConfig::A.apply(&SystemConfig::default());
         let mut sys = System::try_new_looping(base, trace, 100, 1).expect("valid config");
-        sys.cmp_mut().warm_up(10_000);
+        sys.cmp_mut().try_warm_up(10_000).expect("warm-up");
         sys.enable_faults(make(42));
 
         let mut ctl = OnlineLpmController::new_hardened(HwConfig::A, 10_000, Grain::Custom(0.5))

@@ -6,11 +6,10 @@ use lpm::prelude::*;
 
 fn run_workload(w: SpecWorkload, n: usize, seed: u64) -> SystemReport {
     let trace = w.generator().generate(n, seed);
-    let mut sys = System::new(SystemConfig::default(), trace, seed);
-    assert!(
-        sys.run_with_warmup(n as u64 / 2, 500_000_000),
-        "{w} did not drain"
-    );
+    let mut sys =
+        System::try_new_looping(SystemConfig::default(), trace, 1, seed).expect("valid config");
+    sys.cmp_mut().try_warm_up(n as u64 / 2).expect("warm-up");
+    assert!(sys.try_run(500_000_000).expect("run"), "{w} did not drain");
     sys.report()
 }
 
@@ -112,8 +111,8 @@ fn multicore_contention_slows_everyone_somewhat() {
     };
     let alone_ipc = {
         let t = SpecWorkload::MilcLike.generator().generate(n, 3);
-        let mut sys = System::new(SystemConfig::default(), t, 3);
-        assert!(sys.run(500_000_000));
+        let mut sys = System::try_new_looping(SystemConfig::default(), t, 1, 3).unwrap();
+        assert!(sys.try_run(500_000_000).unwrap());
         sys.report().core.ipc()
     };
     let cfg = SystemConfig::default();
@@ -121,8 +120,9 @@ fn multicore_contention_slows_everyone_somewhat() {
         SpecWorkload::MilcLike.generator().generate(n, 3),
         SpecWorkload::LbmLike.generator().generate(n, 4),
     ];
-    let mut cmp = Cmp::new(vec![mk_slot(), mk_slot()], cfg.l2, cfg.dram, traces, 3);
-    assert!(cmp.run(500_000_000));
+    let slots = vec![mk_slot(), mk_slot()];
+    let mut cmp = Cmp::try_new_with_hierarchy(slots, vec![cfg.l2], cfg.dram, traces, 1, 3).unwrap();
+    assert!(cmp.try_run(500_000_000).unwrap());
     let shared_ipc = cmp.core_stats(0).ipc();
     assert!(
         shared_ipc <= alone_ipc * 1.05,

@@ -24,8 +24,8 @@ const INTERVALS: usize = 6;
 fn fresh_run(fault_seed: Option<u64>) -> (System, OnlineLpmController) {
     let trace = SpecWorkload::BwavesLike.generator().generate(300_000, 11);
     let base = HwConfig::A.apply(&SystemConfig::default());
-    let mut sys = System::new_looping(base, trace, 100, 1);
-    sys.cmp_mut().warm_up(30_000);
+    let mut sys = System::try_new_looping(base, trace, 100, 1).expect("valid config");
+    sys.cmp_mut().try_warm_up(30_000).expect("warm-up");
     if let Some(seed) = fault_seed {
         sys.enable_faults(FaultConfig::all(seed));
     }
