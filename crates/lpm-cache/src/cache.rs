@@ -297,9 +297,8 @@ impl Cache {
         out.outgoing_misses.clear();
         out.writebacks.clear();
 
-        // 1. Apply fills: install lines, complete waiters. (Swapped
-        // through a scratch buffer: `fill` pushes between steps keep
-        // their capacity, and the scratch is stable during the loop.)
+        // 1. Apply fills: install lines, complete waiters (through a
+        // scratch buffer that keeps its capacity and the line list).
         std::mem::swap(&mut self.pending_fills, &mut self.fills_scratch);
         let had_fills = !self.fills_scratch.is_empty();
         for fi in 0..self.fills_scratch.len() {
@@ -345,33 +344,43 @@ impl Cache {
             }
         }
 
-        self.fills_scratch.clear();
-
-        // 2. Retry deferred misses (FIFO) now that fills may have freed
-        // MSHR slots or installed their line. Same scratch ping-pong:
-        // re-deferred entries land back in `deferred` with its previous
-        // capacity. A retry round whose every entry already failed
-        // against unchanged state (no fill applied, no capacity change)
-        // re-fails identically, so it collapses to its counter delta.
+        // 2. Retry deferred misses (FIFO, same scratch ping-pong). A round
+        // that failed against unchanged state collapses to its counter
+        // delta; in a full file an entry that failed re-fails unless its
+        // line was filled this step or allocated this round.
         if !self.deferred.is_empty() {
             if had_fills || !self.deferred_blocked {
                 std::mem::swap(&mut self.deferred, &mut self.deferred_scratch);
                 for di in 0..self.deferred_scratch.len() {
                     let d = self.deferred_scratch[di];
-                    self.resolve_miss(d, out);
+                    let lines = [
+                        &self.fills_scratch,
+                        &out.outgoing_misses,
+                        &self.pending_outgoing_prefetch,
+                    ];
+                    if self.deferred_blocked
+                        && self.mshr.is_full()
+                        && !lines.iter().any(|l| l.contains(&d.line))
+                    {
+                        debug_assert!(!self.array.probe(d.line) && !self.mshr.accepts(d.line));
+                        self.stats.mshr_rejects += 1;
+                        self.deferred.push(d);
+                    } else {
+                        self.resolve_miss(d, out);
+                    }
                 }
                 self.deferred_scratch.clear();
             } else {
                 self.stats.mshr_rejects += self.deferred.len() as u64;
             }
         }
+        self.fills_scratch.clear();
         // Anything still (or newly) deferred below has failed against
         // the state this step leaves behind.
         self.deferred_blocked = true;
 
-        // 3. Resolve lookups whose hit phase ends this cycle. The
-        // maintained minimum deadline skips the walk wholesale on the
-        // (common) cycles where nothing is due.
+        // 3. Resolve lookups whose hit phase ends this cycle (none are
+        // due before the maintained minimum deadline).
         if self.lookup_min_end <= now {
             self.resolve_due_lookups(now, out);
         }
@@ -441,7 +450,7 @@ impl Cache {
                 self.stats.primary_misses += 1;
                 if d.pure {
                     // Preserve the pure flag across the defer boundary.
-                    self.set_pure_flag(d.line, d.id);
+                    self.mshr.set_pure(d.line, d.id);
                 }
                 out.outgoing_misses.push(d.line);
                 self.train_prefetcher(d.line, true);
@@ -449,7 +458,7 @@ impl Cache {
             Ok(MshrAccept::Secondary) => {
                 self.stats.secondary_misses += 1;
                 if d.pure {
-                    self.set_pure_flag(d.line, d.id);
+                    self.mshr.set_pure(d.line, d.id);
                 }
             }
             Err(MshrReject::Full) | Err(MshrReject::TargetsFull) => {
@@ -457,12 +466,6 @@ impl Cache {
                 self.deferred.push(d);
             }
         }
-    }
-
-    /// Re-apply a pure flag to a target that was deferred while flagged.
-    /// (Linear scan; MSHR files are small.)
-    fn set_pure_flag(&mut self, line: u64, id: AccessId) {
-        self.mshr.set_pure(line, id);
     }
 
     /// Whether a `step(now)` could mutate any state beyond the
@@ -520,7 +523,6 @@ impl Cache {
 
     /// Which [`Cache::can_act`] clauses hold at `now`, in check order:
     /// `[pending_fills, deferred, outgoing_prefetch, lookup_due]`.
-    /// Diagnostic companion for understanding span coalescing.
     pub fn busy_breakdown(&self, now: u64) -> [bool; 4] {
         [
             !self.pending_fills.is_empty(),
@@ -551,11 +553,6 @@ impl Cache {
     /// Misses deferred on MSHR structural hazards (diagnostics).
     pub fn deferred_misses(&self) -> usize {
         self.deferred.len()
-    }
-
-    /// Debug dump of outstanding MSHR lines (diagnostics).
-    pub fn outstanding_lines(&self) -> Vec<u64> {
-        self.mshr.outstanding_lines()
     }
 
     /// Reconfigure the cache's parallelism at runtime: port count, MSHR
@@ -945,6 +942,90 @@ mod tests {
         assert!(out.completions[0].hit);
         // Redundant prefetch to a present line does nothing.
         assert!(!c.prefetch(128));
+    }
+
+    /// A retry round in a full MSHR file touches, in order: a miss whose
+    /// line the prefetcher allocated earlier in the round (merges), a
+    /// `TargetsFull` miss whose line filled (hits the installed line), a
+    /// miss whose fill was bypassed (re-fails), an untouched miss
+    /// (re-fails without a probe; debug builds check it would have) and
+    /// a miss on a line a demand miss allocated earlier in the round
+    /// (merges).
+    #[test]
+    fn filtered_retry_round_resolves_only_touched_lines() {
+        let mut c = Cache::new(
+            CacheConfig {
+                targets_per_mshr: 2,
+                prefetch: PrefetchKind::NextLine { degree: 1 },
+                bypass: BypassPolicy::RegionReuse {
+                    entries: 8,
+                    min_fills: 1,
+                },
+                ..cfg(1, 8, 1, 3)
+            },
+            0,
+        );
+        let (a, b, q, z) = (0x0, 0x1000, 0x2000, 0x5000);
+        let mut done = Vec::new();
+        let step = |c: &mut Cache, now: u64, done: &mut Vec<u64>| {
+            let out = c.step(now);
+            done.extend(out.completions.iter().map(|k| k.id.0));
+            out.outgoing_misses
+        };
+        // A store miss on `a` (its next line is prefetched) and a load
+        // miss on `b` fill the file, each with a merged second target;
+        // six more misses defer behind them.
+        let accesses = [
+            (1, a, true),
+            (2, b, false),
+            (3, a, false),
+            (4, b, false),
+            (5, q, false),
+            (6, q + 64, false),
+            (7, a, false),
+            (8, b, false),
+            (9, z, false),
+            (10, q, false),
+        ];
+        for (now, &(id, addr, st)) in accesses.iter().enumerate() {
+            assert_eq!(
+                c.access(now as u64, AccessId(id), addr, st),
+                AccessResponse::Accepted
+            );
+            step(&mut c, now as u64, &mut done);
+        }
+        assert_eq!((c.mshrs_in_use(), c.deferred_misses()), (3, 6));
+        assert_eq!(c.stats().mshr_rejects, 21);
+        // `a` fills dirty and installs; `b` fills clean and is bypassed.
+        c.fill(a);
+        c.fill(b);
+        let outgoing = step(&mut c, 10, &mut done);
+        assert_eq!(outgoing, vec![q, q + 64], "miss on q, then its prefetch");
+        assert_eq!(done, vec![1, 3, 2, 4, 7], "fills, then the installed line");
+        let s = *c.stats();
+        assert_eq!(
+            (s.primary_misses, s.secondary_misses, s.prefetches),
+            (3, 4, 2)
+        );
+        assert_eq!((s.bypassed_fills, s.mshr_rejects), (1, 23));
+        assert_eq!(
+            c.deferred_misses(),
+            2,
+            "the bypassed line and the untouched one"
+        );
+        for (now, line) in [(11, a + 64), (12, q), (13, q + 64)] {
+            c.fill(line);
+            for l in step(&mut c, now, &mut done) {
+                c.fill(l);
+            }
+        }
+        for now in 14..24 {
+            for l in step(&mut c, now, &mut done) {
+                c.fill(l);
+            }
+        }
+        done.sort_unstable();
+        assert_eq!(done, (1..=10).collect::<Vec<u64>>());
     }
 
     #[test]

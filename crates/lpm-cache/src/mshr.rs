@@ -7,8 +7,6 @@
 //! sustain — the `CM`-side knob of the C-AMAT model and one of the Table I
 //! design-space parameters.
 
-use std::collections::BTreeMap;
-
 use crate::cache::AccessId;
 
 /// One waiting access attached to an MSHR entry.
@@ -61,7 +59,10 @@ pub enum MshrAccept {
 pub struct MshrFile {
     capacity: usize,
     targets_per_entry: usize,
-    entries: BTreeMap<u64, MshrEntry>,
+    /// Outstanding entries, unordered: files are small (Table I has at
+    /// most 64 entries), so a linear lookup beats a tree, and no caller
+    /// depends on the order.
+    entries: Vec<MshrEntry>,
     /// Demand targets currently waiting, across all entries (incremental
     /// mirror of the sum the analyzer samples every cycle).
     waiting: u64,
@@ -82,9 +83,7 @@ impl MshrFile {
         MshrFile {
             capacity,
             targets_per_entry,
-            // Ordered by line address: iteration (diagnostics, pure-miss
-            // marking) is deterministic regardless of allocation order.
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             waiting: 0,
             unpure: 0,
             spare_targets: Vec::new(),
@@ -103,9 +102,23 @@ impl MshrFile {
         self.capacity = capacity;
     }
 
-    /// Whether a miss on `line_addr` is already outstanding.
-    pub fn contains(&self, line_addr: u64) -> bool {
-        self.entries.contains_key(&line_addr)
+    /// Whether every entry is in use: only a merge can still succeed.
+    pub(crate) fn is_full(&self) -> bool {
+        self.entries.len() >= self.capacity
+    }
+
+    /// Position of the entry for `line_addr`, if outstanding.
+    fn find(&self, line_addr: u64) -> Option<usize> {
+        self.entries.iter().position(|e| e.line_addr == line_addr)
+    }
+
+    /// Whether [`MshrFile::allocate`] would accept a miss on `line_addr`
+    /// (a merge with target room, or a free entry).
+    pub(crate) fn accepts(&self, line_addr: u64) -> bool {
+        match self.find(line_addr) {
+            Some(i) => self.entries[i].targets.len() < self.targets_per_entry,
+            None => !self.is_full(),
+        }
     }
 
     /// Try to register a demand miss.
@@ -115,7 +128,8 @@ impl MshrFile {
         id: AccessId,
         is_store: bool,
     ) -> Result<MshrAccept, MshrReject> {
-        if let Some(e) = self.entries.get_mut(&line_addr) {
+        if let Some(i) = self.find(line_addr) {
+            let e = &mut self.entries[i];
             if e.targets.len() >= self.targets_per_entry {
                 return Err(MshrReject::TargetsFull);
             }
@@ -129,7 +143,7 @@ impl MshrFile {
             self.unpure += 1;
             return Ok(MshrAccept::Secondary);
         }
-        if self.entries.len() >= self.capacity {
+        if self.is_full() {
             return Err(MshrReject::Full);
         }
         let mut targets = self.spare_targets.pop().unwrap_or_default();
@@ -138,15 +152,12 @@ impl MshrFile {
             is_store,
             pure: false,
         });
-        self.entries.insert(
+        self.entries.push(MshrEntry {
             line_addr,
-            MshrEntry {
-                line_addr,
-                targets,
-                prefetch_only: false,
-                started_as_prefetch: false,
-            },
-        );
+            targets,
+            prefetch_only: false,
+            started_as_prefetch: false,
+        });
         self.waiting += 1;
         self.unpure += 1;
         Ok(MshrAccept::Primary)
@@ -156,27 +167,24 @@ impl MshrFile {
     /// `Ok(true)` if a new entry was allocated, `Ok(false)` if the line is
     /// already outstanding (the prefetch is redundant).
     pub fn allocate_prefetch(&mut self, line_addr: u64) -> Result<bool, MshrReject> {
-        if self.entries.contains_key(&line_addr) {
+        if self.find(line_addr).is_some() {
             return Ok(false);
         }
-        if self.entries.len() >= self.capacity {
+        if self.is_full() {
             return Err(MshrReject::Full);
         }
-        self.entries.insert(
+        self.entries.push(MshrEntry {
             line_addr,
-            MshrEntry {
-                line_addr,
-                targets: self.spare_targets.pop().unwrap_or_default(),
-                prefetch_only: true,
-                started_as_prefetch: true,
-            },
-        );
+            targets: self.spare_targets.pop().unwrap_or_default(),
+            prefetch_only: true,
+            started_as_prefetch: true,
+        });
         Ok(true)
     }
 
     /// Complete a fill: remove and return the entry for `line_addr`.
     pub fn complete(&mut self, line_addr: u64) -> Option<MshrEntry> {
-        let e = self.entries.remove(&line_addr)?;
+        let e = self.entries.swap_remove(self.find(line_addr)?);
         self.waiting -= e.targets.len() as u64;
         self.unpure -= e.targets.iter().filter(|t| !t.pure).count() as u64;
         Some(e)
@@ -192,11 +200,6 @@ impl MshrFile {
         }
     }
 
-    /// Iterate over every waiting demand access (for analyzer sampling).
-    pub fn waiting_accesses(&self) -> impl Iterator<Item = &Target> {
-        self.entries.values().flat_map(|e| e.targets.iter())
-    }
-
     /// Mark every currently waiting access as pure; returns how many flags
     /// flipped from false to true (newly discovered pure misses).
     pub fn mark_all_pure(&mut self) -> u64 {
@@ -204,7 +207,7 @@ impl MshrFile {
             return 0;
         }
         let mut newly = 0;
-        for e in self.entries.values_mut() {
+        for e in &mut self.entries {
             for t in &mut e.targets {
                 if !t.pure {
                     t.pure = true;
@@ -222,22 +225,17 @@ impl MshrFile {
         debug_assert_eq!(
             self.waiting,
             self.entries
-                .values()
+                .iter()
                 .map(|e| e.targets.len() as u64)
                 .sum::<u64>()
         );
         self.waiting
     }
 
-    /// The line addresses of all outstanding entries (diagnostics).
-    pub fn outstanding_lines(&self) -> Vec<u64> {
-        self.entries.keys().copied().collect()
-    }
-
     /// Set the pure flag on one specific waiting access, if present.
     pub fn set_pure(&mut self, line_addr: u64, id: AccessId) {
-        if let Some(e) = self.entries.get_mut(&line_addr) {
-            for t in &mut e.targets {
+        if let Some(i) = self.find(line_addr) {
+            for t in &mut self.entries[i].targets {
                 if t.id == id && !t.pure {
                     t.pure = true;
                     self.unpure -= 1;

@@ -55,6 +55,16 @@ impl Args {
         self.options.get(key).map(String::as_str).unwrap_or(default)
     }
 
+    /// Reject the first flag (in key order) not listed in `accepted`,
+    /// naming it and the subcommand.
+    pub fn reject_unknown_flags(&self, accepted: &[&[&str]]) -> Result<(), String> {
+        let known = |k: &str| accepted.iter().any(|list| list.contains(&k));
+        match self.options.keys().find(|k| !known(k)) {
+            Some(k) => Err(format!("unknown flag --{k} for `{}`", self.command)),
+            None => Ok(()),
+        }
+    }
+
     /// Whether a boolean switch (e.g. `--quiet`) was given.
     pub fn has(&self, key: &str) -> bool {
         self.options.contains_key(key)

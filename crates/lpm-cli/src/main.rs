@@ -44,7 +44,14 @@ fn run(raw: &[String]) -> Result<u8, String> {
         print_help();
         return Ok(0);
     }
+    if raw[0] == "bench" {
+        // `bench` parses its own flags, where `--quick` is a switch.
+        return lpm_bench::bench::cli_run(&raw[1..]);
+    }
     let a = args::parse(raw)?;
+    if let Some(accepted) = accepted_flags(&a.command) {
+        a.reject_unknown_flags(accepted)?;
+    }
     match a.command.as_str() {
         "help" | "--help" | "-h" => {
             print_help();
@@ -71,9 +78,104 @@ fn run(raw: &[String]) -> Result<u8, String> {
         "serve" => cmd_serve(&a).map(|()| 0),
         "client" => cmd_client(&a),
         "journal" => cmd_journal(&a),
-        "bench" => lpm_bench::bench::cli_run(&raw[1..]),
         other => Err(format!("unknown subcommand {other:?}")),
     }
+}
+
+/// The sweep-spec flags, read by `sweep` and `client submit`.
+const SPEC_FLAGS: &[&str] = &[
+    "configs",
+    "workloads",
+    "seeds",
+    "faults",
+    "fault-seeds",
+    "chaos",
+    "chaos-io",
+    "point-cycle-budget",
+    "instructions",
+    "intervals",
+    "interval",
+    "grain",
+    "warmup",
+    "trace-events",
+    "max-retries",
+    "retry-backoff-cycles",
+];
+
+/// The flags each subcommand reads; any other flag is an error before
+/// work starts. `None` for an unknown subcommand, which the dispatch
+/// rejects.
+fn accepted_flags(command: &str) -> Option<&'static [&'static [&'static str]]> {
+    Some(match command {
+        "help" | "--help" | "-h" | "workloads" => &[],
+        "run" => &[&[
+            "workload",
+            "trace",
+            "instructions",
+            "seed",
+            "quiet",
+            "l1-size",
+            "l1-ports",
+            "mshrs",
+            "l2-size",
+            "l3-size",
+        ]],
+        "trace-dump" => &[&["workload", "instructions", "seed", "out"]],
+        "repro" => &[&["instructions"]],
+        "explore" => &[&["workload", "instructions", "seed", "grain", "mode"]],
+        "online" => &[&[
+            "workload",
+            "instructions",
+            "seed",
+            "interval",
+            "grain",
+            "faults",
+            "fault-seed",
+            "quiet",
+            "telemetry-out",
+            "telemetry-format",
+            "trace-events",
+        ]],
+        "sweep" => &[
+            SPEC_FLAGS,
+            &[
+                "jobs",
+                "quiet",
+                "keep-going",
+                "telemetry-out",
+                "telemetry-format",
+                "checkpoint",
+                "resume",
+            ],
+        ],
+        "serve" => &[&[
+            "state",
+            "bind",
+            "queue-capacity",
+            "tenant-quota",
+            "runners",
+            "jobs",
+            "max-job-retries",
+            "retry-backoff-ms",
+            "chaos-io",
+        ]],
+        "client" => &[
+            SPEC_FLAGS,
+            &[
+                "state",
+                "addr",
+                "tenant",
+                "deadline-ms",
+                "jobs",
+                "wait",
+                "wait-timeout-ms",
+                "out",
+                "format",
+            ],
+        ],
+        "journal" => &[&["force"]],
+        _ => return None,
+    })
 }
 
 fn print_help() {
@@ -996,6 +1098,44 @@ mod tests {
         assert_eq!(cfg.l1.mshrs, 8);
         assert_eq!(cfg.l3.as_ref().unwrap().size_bytes, 8 << 20);
         cfg.validate().unwrap();
+    }
+
+    /// Every subcommand rejects a flag it does not read, before doing any
+    /// work, with an error naming the flag and the subcommand.
+    #[test]
+    fn unknown_flags_are_rejected_per_subcommand() {
+        let cases: &[(&[&str], &str)] = &[
+            (&["workloads"], "--seed"),
+            (&["help"], "--quiet"),
+            (&["run", "--workload", "bwaves"], "--l1-mshrs"),
+            (
+                &["trace-dump", "--workload", "gcc", "--out", "x"],
+                "--grain",
+            ),
+            (&["repro", "fig1"], "--seed"),
+            (&["explore", "--workload", "gcc"], "--faults"),
+            (&["online", "--workload", "gcc"], "--config"),
+            (&["sweep"], "--config"),
+            (&["sweep", "--jobs", "2"], "--seed"),
+            (&["serve", "--state", "s"], "--queue"),
+            (&["client", "ping", "--state", "s"], "--runners"),
+            (&["journal", "ls", "j.jsonl"], "--quiet"),
+        ];
+        for (argv, bad) in cases {
+            let mut raw = sv(argv);
+            raw.extend(sv(&[bad, "1"]));
+            let e = run(&raw).expect_err(bad);
+            assert!(
+                e.contains(bad) && e.contains(&format!("`{}`", argv[0])),
+                "{argv:?} {bad}: {e}"
+            );
+        }
+        let e = run(&sv(&["bench", "--frob"])).unwrap_err();
+        assert!(e.contains("--frob"), "{e}");
+        // `bench` parses its own flags: a trailing `--quick` is a switch
+        // there, not a flag missing its value.
+        let e = run(&sv(&["bench", "--tag", "bad tag", "--quick"])).unwrap_err();
+        assert!(e.contains("bad --tag"), "{e}");
     }
 
     #[test]

@@ -97,16 +97,12 @@ struct RobEntry {
     seq: u64,
     op: Op,
     state: State,
-}
-
-/// An issue-queue entry: a `Waiting` instruction and the sequence number
-/// of the instruction it depends on, if any.
-#[derive(Debug, Clone, Copy)]
-struct IqEntry {
-    seq: u64,
-    op: Op,
+    /// Sequence number of the instruction this one depends on, if any.
     dep: Option<u64>,
 }
+
+/// End-of-chain marker in the waiter chains.
+const NO_WAITER: u32 = u32::MAX;
 
 /// Measured core-side quantities.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -208,14 +204,23 @@ pub struct Core {
     /// in flight). Updated at issue, recomputed when completions drain —
     /// turns the per-cycle "anything due?" checks into one comparison.
     exec_min_done: u64,
-    /// The issue queue: exactly the `Waiting` ROB entries, in sequence
-    /// order. Dispatch pushes, issue removes in place.
-    iq: Vec<IqEntry>,
+    /// `Waiting` ROB entries: the issue queue's occupancy.
+    waiting: usize,
     /// Ring bitmap of `Done` ROB entries, indexed by `seq` modulo its
     /// size: set at every transition to `Done`, cleared at dispatch. Its
     /// size is a power of two no smaller than the ROB (regrown by
     /// `reconfigure`), so a live entry owns its bit.
     done: Vec<u64>,
+    /// Ring bitmap of *ready* `Waiting` entries (dependence met), indexed
+    /// like `done`: set at dispatch or when the producer turns `Done`,
+    /// cleared when the entry leaves the queue. Issue walks only these.
+    ready: Vec<u64>,
+    /// Per ring slot: the first consumer slot waiting on this slot's
+    /// producer (`NO_WAITER` when none). `set_done` walks the chain and
+    /// sets each consumer's ready bit.
+    waiters: Vec<u32>,
+    /// Per ring slot: the next consumer slot on the same producer's chain.
+    next_waiter: Vec<u32>,
     /// Memoized idle verdict: `true` means the *state-based* clauses of
     /// [`Core::can_act`] (retirable head, issuable Waiting entry,
     /// dispatch room) were checked and found false, and no state has
@@ -245,7 +250,7 @@ impl Core {
         let cfg = checked(cfg);
         assert!(repeats >= 1, "need at least one pass over the trace");
         let total_instructions = trace.len() * repeats as usize;
-        Core {
+        let mut core = Core {
             cfg,
             trace,
             next_dispatch: 0,
@@ -258,10 +263,15 @@ impl Core {
             compute_done_this_cycle: false,
             executing: Vec::new(),
             exec_min_done: u64::MAX,
-            iq: Vec::with_capacity(cfg.iw_size as usize),
-            done: vec![0; ring_words(cfg.rob_size as usize)],
+            waiting: 0,
+            done: Vec::new(),
+            ready: Vec::new(),
+            waiters: Vec::new(),
+            next_waiter: Vec::new(),
             idle_memo: std::cell::Cell::new(false),
-        }
+        };
+        core.regrow_rings();
+        core
     }
 
     /// The core configuration.
@@ -290,20 +300,42 @@ impl Core {
     /// reconfiguration would require.
     /// Panics on a `cfg` that fails [`CoreConfig::validate`].
     pub fn reconfigure(&mut self, cfg: CoreConfig) {
-        let cfg = checked(cfg);
-        self.cfg = cfg;
-        let words = ring_words((cfg.rob_size as usize).max(self.rob.len()));
-        if words > self.done.len() {
-            self.done = vec![0; words];
-            for i in 0..self.rob.len() {
-                if self.rob[i].state == State::Done {
-                    self.set_done(self.rob[i].seq);
-                }
-            }
-        }
+        self.cfg = checked(cfg);
+        self.regrow_rings();
         // Grown structures (ROB, issue window, store buffer) can make a
         // previously inert core actionable again.
         self.idle_memo.set(false);
+    }
+
+    /// Size the rings for the ROB (never shrinking them) and, when they
+    /// grow, rebuild them from the ROB in sequence order: done bits,
+    /// ready bits and waiter chains all move to their new slots.
+    fn regrow_rings(&mut self) {
+        let words = ring_words((self.cfg.rob_size as usize).max(self.rob.len()));
+        if words <= self.done.len() {
+            return;
+        }
+        self.done = vec![0; words];
+        self.ready = vec![0; words];
+        self.waiters = vec![NO_WAITER; words * 64];
+        self.next_waiter = vec![NO_WAITER; words * 64];
+        let head_seq = self.head_seq();
+        for i in 0..self.rob.len() {
+            let e = self.rob[i];
+            match e.state {
+                State::Done => self.set_done(e.seq),
+                State::Waiting => self.enqueue(e.seq, e.dep, head_seq),
+                State::Executing(_) | State::WaitingMem => {}
+            }
+        }
+    }
+
+    /// Sequence number of the ROB head (of the next dispatch when the
+    /// ROB is empty): the ROB holds exactly the seqs below `next_dispatch`
+    /// from here on.
+    #[inline]
+    fn head_seq(&self) -> u64 {
+        (self.next_dispatch - self.rob.len()) as u64
     }
 
     /// Whether the whole trace (all repeats) has been dispatched and
@@ -349,9 +381,8 @@ impl Core {
             // A posted store's write landed; nothing waits on it.
             self.posted_stores.swap_remove(i);
         } else {
-            let head_seq = self.rob.front().map_or(0, |e| e.seq);
             match id
-                .checked_sub(head_seq)
+                .checked_sub(self.head_seq())
                 .and_then(|idx| self.rob.get_mut(idx as usize))
             {
                 Some(e) if e.seq == id && e.state == State::WaitingMem => e.state = State::Done,
@@ -371,9 +402,94 @@ impl Core {
         ((seq >> 6) as usize & (self.done.len() - 1), 1 << (seq & 63))
     }
 
+    /// Ring slot of `seq` (the bit index `done_bit` splits in two).
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
+        seq as usize & (self.waiters.len() - 1)
+    }
+
+    /// Mark `seq` `Done` and wake its waiter chain.
     fn set_done(&mut self, seq: u64) {
         let (word, bit) = self.done_bit(seq);
         self.done[word] |= bit;
+        let slot = self.slot(seq);
+        let mut w = std::mem::replace(&mut self.waiters[slot], NO_WAITER);
+        while w != NO_WAITER {
+            self.ready[w as usize >> 6] |= 1 << (w & 63);
+            w = self.next_waiter[w as usize];
+        }
+    }
+
+    /// Enter `Waiting` entry `seq` into the issue queue: not `Done`, no
+    /// waiters yet, and ready now if its dependence is met, else linked
+    /// onto its producer's waiter chain.
+    fn enqueue(&mut self, seq: u64, dep: Option<u64>, head_seq: u64) {
+        let (word, bit) = self.done_bit(seq);
+        let slot = self.slot(seq);
+        self.done[word] &= !bit;
+        self.waiters[slot] = NO_WAITER;
+        match dep {
+            Some(d) if !self.dep_ready(dep, head_seq) => {
+                self.ready[word] &= !bit;
+                let producer = self.slot(d);
+                self.next_waiter[slot] = self.waiters[producer];
+                self.waiters[producer] = slot as u32;
+            }
+            _ => self.ready[word] |= bit,
+        }
+    }
+
+    /// The first ready entry with `from <= seq < end`, walking the ready
+    /// ring a word at a time.
+    #[inline]
+    fn next_ready(&self, mut from: u64, end: u64) -> Option<u64> {
+        while from < end {
+            let (word, _) = self.done_bit(from);
+            let bits = self.ready[word] >> (from & 63);
+            if bits != 0 {
+                let seq = from + u64::from(bits.trailing_zeros());
+                return (seq < end).then_some(seq);
+            }
+            from = (from | 63) + 1;
+        }
+        None
+    }
+
+    /// One past the last seq in the issue window. Normally the window
+    /// holds every `Waiting` entry; after a `reconfigure` shrank it below
+    /// the queue's occupancy, only the oldest `iw_size` are eligible
+    /// (a rare state, so it may scan).
+    fn window_end(&self) -> u64 {
+        let iw = self.cfg.iw_size as usize;
+        if self.waiting <= iw {
+            return self.next_dispatch as u64;
+        }
+        self.rob
+            .iter()
+            .filter(|e| e.state == State::Waiting)
+            .nth(iw - 1)
+            .map_or(self.next_dispatch as u64, |e| e.seq + 1)
+    }
+
+    /// Debug-build oracle for the pushed issue-queue state: the ready
+    /// bits re-derived by the dependence scan they replace.
+    fn check_ready_bits(&self) {
+        if cfg!(debug_assertions) {
+            let head_seq = self.head_seq();
+            let mut waiting = 0;
+            for e in self.rob.iter().filter(|e| e.state == State::Waiting) {
+                let (word, bit) = self.done_bit(e.seq);
+                let ready = self.ready[word] & bit != 0;
+                assert_eq!(
+                    ready,
+                    self.dep_ready(e.dep, head_seq),
+                    "ready bit of {}",
+                    e.seq
+                );
+                waiting += 1;
+            }
+            assert_eq!(waiting, self.waiting, "waiting count out of sync");
+        }
     }
 
     /// Whether a dependence is satisfied: none, retired (below the ROB
@@ -413,18 +529,22 @@ impl Core {
         if matches!(self.rob.front(), Some(e) if e.state == State::Done) {
             return true;
         }
-        // Step 3: mirror the issue scan. Any ready entry in the window
+        // Step 3: mirror the issue pass. Any ready entry in the window
         // that would issue a compute or attempt the port acts this cycle.
-        let head_seq = self.rob.front().map_or(0, |e| e.seq);
+        self.check_ready_bits();
+        let head_seq = self.head_seq();
         let store_room = self.posted_stores.len() < self.cfg.store_buffer as usize;
-        if self.iq.iter().take(self.cfg.iw_size as usize).any(|e| {
-            (store_room || !matches!(e.op, Op::Store(_))) && self.dep_ready(e.dep, head_seq)
-        }) {
-            return true;
+        let end = self.window_end();
+        let mut from = head_seq;
+        while let Some(seq) = self.next_ready(from, end) {
+            if store_room || !matches!(self.rob[(seq - head_seq) as usize].op, Op::Store(_)) {
+                return true;
+            }
+            from = seq + 1;
         }
         // Step 4: dispatch possible.
         let dispatchable = self.rob.len() < self.cfg.rob_size as usize
-            && self.iq.len() < self.cfg.iw_size as usize
+            && self.waiting < self.cfg.iw_size as usize
             && self.next_dispatch < self.total_instructions;
         if !dispatchable {
             // Every state-based clause is false: cache the verdict so
@@ -490,7 +610,7 @@ impl Core {
         // `executing` mirror; entries in it never retire before they
         // complete, so their seq→index mapping stays valid).
         if self.exec_min_done <= now {
-            let head_seq = self.rob.front().map_or(0, |e| e.seq);
+            let head_seq = self.head_seq();
             let mut i = 0;
             while i < self.executing.len() {
                 let (done_at, seq) = self.executing[i];
@@ -525,68 +645,70 @@ impl Core {
             retired_this_cycle += 1;
         }
 
-        // 3. Issue: walk the first `iw_size` issue-queue entries in
-        // sequence order; issue up to `issue_width` whose dependences are
-        // ready. Issued entries leave the queue; the rest stay in order.
-        let head_seq = self.rob.front().map_or(0, |e| e.seq);
+        // 3. Issue: walk the ready entries of the window in sequence
+        // order; issue up to `issue_width`. The ring is re-read as the
+        // walk advances, so a store posted here wakes a younger consumer
+        // in the same pass.
+        self.check_ready_bits();
+        let head_seq = self.head_seq();
+        let end = self.window_end();
         let mut issued = 0u32;
-        let mut kept = 0;
-        let mut idx = 0;
-        while idx < self.iq.len().min(self.cfg.iw_size as usize) && issued < self.cfg.issue_width {
-            let e = self.iq[idx];
-            idx += 1;
-            let rob_idx = (e.seq - head_seq) as usize;
-            let leaves = self.dep_ready(e.dep, head_seq)
-                && match e.op {
-                    Op::Compute => {
-                        let done_at = now + self.cfg.compute_latency;
-                        self.rob[rob_idx].state = State::Executing(done_at);
-                        self.executing.push((done_at, e.seq));
-                        self.exec_min_done = self.exec_min_done.min(done_at);
-                        issued += 1;
+        let mut from = head_seq;
+        while issued < self.cfg.issue_width {
+            let Some(seq) = self.next_ready(from, end) else {
+                break;
+            };
+            from = seq + 1;
+            let rob_idx = (seq - head_seq) as usize;
+            let op = self.rob[rob_idx].op;
+            let leaves = match op {
+                Op::Compute => {
+                    let done_at = now + self.cfg.compute_latency;
+                    self.rob[rob_idx].state = State::Executing(done_at);
+                    self.executing.push((done_at, seq));
+                    self.exec_min_done = self.exec_min_done.min(done_at);
+                    issued += 1;
+                    true
+                }
+                // Store buffer full: structural stall, the store waits
+                // without consuming the slot.
+                Op::Store(_) if self.posted_stores.len() >= self.cfg.store_buffer as usize => false,
+                Op::Load(addr) | Op::Store(addr) => {
+                    let is_store = matches!(op, Op::Store(_));
+                    // Accepted or not, the attempt uses a slot.
+                    issued += 1;
+                    if !mem.try_access(now, seq, addr, is_store) {
+                        self.stats.mem_rejects += 1;
+                        false
+                    } else {
+                        self.outstanding_mem += 1;
+                        self.stats.mem_issued += 1;
+                        if is_store {
+                            // Stores are posted: they drain through a
+                            // write buffer and never block retirement.
+                            self.posted_stores.push(seq);
+                            self.rob[rob_idx].state = State::Done;
+                            self.set_done(seq);
+                        } else {
+                            // Loads wait for their data.
+                            self.rob[rob_idx].state = State::WaitingMem;
+                        }
                         true
                     }
-                    // Store buffer full: structural stall, the store
-                    // waits without consuming the slot.
-                    Op::Store(_) if self.posted_stores.len() >= self.cfg.store_buffer as usize => {
-                        false
-                    }
-                    Op::Load(addr) | Op::Store(addr) => {
-                        let is_store = matches!(e.op, Op::Store(_));
-                        // Accepted or not, the attempt uses a slot.
-                        issued += 1;
-                        if !mem.try_access(now, e.seq, addr, is_store) {
-                            self.stats.mem_rejects += 1;
-                            false
-                        } else {
-                            self.outstanding_mem += 1;
-                            self.stats.mem_issued += 1;
-                            if is_store {
-                                // Stores are posted: they drain through a
-                                // write buffer and never block retirement.
-                                self.posted_stores.push(e.seq);
-                                self.rob[rob_idx].state = State::Done;
-                                self.set_done(e.seq);
-                            } else {
-                                // Loads wait for their data.
-                                self.rob[rob_idx].state = State::WaitingMem;
-                            }
-                            true
-                        }
-                    }
-                };
-            if !leaves {
-                self.iq[kept] = e;
-                kept += 1;
+                }
+            };
+            if leaves {
+                let (word, bit) = self.done_bit(seq);
+                self.ready[word] &= !bit;
+                self.waiting -= 1;
             }
         }
-        self.iq.drain(kept..idx);
 
         // 4. Dispatch from the trace.
         let mut dispatched = 0u32;
         while dispatched < self.cfg.issue_width
             && self.rob.len() < self.cfg.rob_size as usize
-            && self.iq.len() < self.cfg.iw_size as usize
+            && self.waiting < self.cfg.iw_size as usize
             && self.next_dispatch < self.total_instructions
         {
             let i = self.trace.instrs()[self.trace_cursor];
@@ -596,14 +718,14 @@ impl Core {
             }
             let seq = self.next_dispatch as u64;
             let dep = (i.dep > 0 && u64::from(i.dep) <= seq).then(|| seq - u64::from(i.dep));
+            self.enqueue(seq, dep, seq - self.rob.len() as u64);
             self.rob.push_back(RobEntry {
                 seq,
                 op: i.op,
                 state: State::Waiting,
+                dep,
             });
-            self.iq.push(IqEntry { seq, op: i.op, dep });
-            let (word, bit) = self.done_bit(seq);
-            self.done[word] &= !bit;
+            self.waiting += 1;
             self.next_dispatch += 1;
             dispatched += 1;
         }
@@ -1015,7 +1137,7 @@ mod tests {
         for _ in 0..40 {
             step(&mut core, &mut now);
         }
-        let waiting = core.iq.len();
+        let waiting = core.waiting;
         assert!(waiting > 2, "only {waiting} waiting entries at the shrink");
         let phase1 = *core.stats();
         core.reconfigure(CoreConfig {
@@ -1054,6 +1176,69 @@ mod tests {
         assert_eq!(snapshot(phase2), [120, 28, 14, 59, 119, 14, 15, 0]);
         assert_eq!(snapshot(end), [1447, 900, 450, 115, 1446, 272, 450, 3]);
         assert_eq!(digest, 0x72a2_c21e_77cf_8f96);
+    }
+
+    /// A shrink below the number of *ready* entries: when the producer's
+    /// data lands, only the oldest `iw_size` waiting entries may issue,
+    /// however wide the core and however many are ready.
+    #[test]
+    fn shrunk_window_issues_only_the_oldest_ready_entries() {
+        let trace: Trace = std::iter::once(Instr::load(0))
+            .chain((1..=6).map(|i| Instr::compute().depending_on(i)))
+            .collect();
+        let cfg = CoreConfig {
+            issue_width: 8,
+            iw_size: 8,
+            rob_size: 8,
+            compute_latency: 1,
+            store_buffer: 4,
+        };
+        let mut core = Core::new(cfg, trace);
+        let mut mem = PerfectMemory::new(1_000_000);
+        core.cycle(0, &mut mem); // dispatch all seven
+        core.cycle(1, &mut mem); // issue the load; the computes wait on it
+        assert_eq!((core.waiting, core.outstanding_mem), (6, 1));
+        core.reconfigure(CoreConfig { iw_size: 2, ..cfg });
+        core.complete_mem(0); // all six computes turn ready at once
+        assert!(core.can_act(2));
+        core.cycle(2, &mut mem);
+        let executing = |c: &Core| {
+            let mut seqs: Vec<u64> = c.executing.iter().map(|&(_, s)| s).collect();
+            seqs.sort_unstable();
+            seqs
+        };
+        assert_eq!(executing(&core), vec![1, 2], "window of two, oldest first");
+        assert_eq!(core.waiting, 4);
+        core.cycle(3, &mut mem);
+        assert_eq!(executing(&core), vec![3, 4]);
+        while !core.finished() {
+            let now = core.stats().cycles;
+            core.cycle(now, &mut mem);
+            assert!(now < 100, "core did not finish");
+        }
+    }
+
+    /// A store posted in an issue pass readies its consumer in the same
+    /// pass: the ready ring is re-read as the walk advances.
+    #[test]
+    fn posted_store_wakes_a_younger_consumer_in_the_same_pass() {
+        let trace: Trace = [
+            Instr::store(0),
+            Instr::compute(),
+            Instr::compute().depending_on(2),
+        ]
+        .into_iter()
+        .collect();
+        let mut core = Core::new(CoreConfig::small(), trace);
+        let mut mem = PerfectMemory::new(50);
+        core.cycle(0, &mut mem); // dispatch all three
+        assert_eq!(core.waiting, 3);
+        core.cycle(1, &mut mem); // the store posts, then both computes issue
+        assert_eq!(core.waiting, 0);
+        assert_eq!(core.stats().mem_issued, 1);
+        let mut seqs: Vec<u64> = core.executing.iter().map(|&(_, s)| s).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, vec![1, 2]);
     }
 
     #[test]

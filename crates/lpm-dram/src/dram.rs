@@ -63,6 +63,45 @@ struct Channel {
     banks: Vec<Bank>,
     bus_free_at: u64,
     in_flight: Vec<InFlight>,
+    /// Soonest `busy_until` over the banks of queued requests
+    /// (`u64::MAX` when the queue is empty): before it, no request is
+    /// ready and the scheduler has nothing to pick. Lowered at enqueue,
+    /// recomputed at issue (the only time a bank's `busy_until` moves).
+    next_issue: u64,
+    /// Soonest in-flight `done_at` (`u64::MAX` when none): lowered at
+    /// issue, recomputed when completions drain.
+    next_done: u64,
+}
+
+impl Channel {
+    /// [`Channel::next_issue`] by a full scan.
+    fn scan_next_issue(&self) -> u64 {
+        let busy = |q: &QueuedReq| self.banks[q.bank as usize].busy_until;
+        self.queue.iter().map(busy).min().unwrap_or(u64::MAX)
+    }
+
+    /// [`Channel::next_done`] by a full scan.
+    fn scan_next_done(&self) -> u64 {
+        self.in_flight
+            .iter()
+            .map(|f| f.done_at)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Debug-build oracle: the pushed event times equal the full scans.
+    fn check_times(&self) {
+        debug_assert_eq!(
+            self.next_issue,
+            self.scan_next_issue(),
+            "next_issue out of sync"
+        );
+        debug_assert_eq!(
+            self.next_done,
+            self.scan_next_done(),
+            "next_done out of sync"
+        );
+    }
 }
 
 /// The DRAM controller + devices.
@@ -93,6 +132,8 @@ impl Dram {
                 banks: vec![Bank::default(); cfg.banks_per_channel as usize],
                 bus_free_at: 0,
                 in_flight: Vec::new(),
+                next_issue: u64::MAX,
+                next_done: u64::MAX,
             })
             .collect();
         Dram {
@@ -139,6 +180,9 @@ impl Dram {
             bank,
             row,
         });
+        channel.next_issue = channel
+            .next_issue
+            .min(channel.banks[bank as usize].busy_until);
         self.stats.accepted += 1;
         true
     }
@@ -174,11 +218,8 @@ impl Dram {
     /// [`Dram::skip_idle_span`] batches.
     pub fn can_act(&self, now: u64) -> bool {
         self.channels.iter().any(|c| {
-            c.in_flight.iter().any(|f| f.done_at <= now)
-                || (!self.fault_blocked
-                    && c.queue
-                        .iter()
-                        .any(|q| c.banks[q.bank as usize].busy_until <= now))
+            c.check_times();
+            c.next_done <= now || (!self.fault_blocked && c.next_issue <= now)
         })
     }
 
@@ -189,18 +230,19 @@ impl Dram {
     /// slot), so `bus_free_at` contributes no event. `None` when fully
     /// drained (or blocked with nothing in flight).
     pub fn next_event(&self) -> Option<u64> {
+        let soonest = |c: &Channel| {
+            c.check_times();
+            if self.fault_blocked {
+                c.next_done
+            } else {
+                c.next_done.min(c.next_issue)
+            }
+        };
         self.channels
             .iter()
-            .flat_map(|c| {
-                let completions = c.in_flight.iter().map(|f| f.done_at);
-                let issues = c
-                    .queue
-                    .iter()
-                    .filter(|_| !self.fault_blocked)
-                    .map(|q| c.banks[q.bank as usize].busy_until);
-                completions.chain(issues)
-            })
+            .map(soonest)
             .min()
+            .filter(|&t| t != u64::MAX)
     }
 
     /// Apply the stats of `k` provably-inert cycles (each a cycle where
@@ -230,24 +272,29 @@ impl Dram {
         let fault_blocked = self.fault_blocked;
         let fault_extra_latency = self.fault_extra_latency;
         for channel in &mut self.channels {
-            // Completions first.
-            let mut i = 0;
-            while i < channel.in_flight.len() {
-                if channel.in_flight[i].done_at <= now {
-                    let f = channel.in_flight.swap_remove(i);
-                    completions.push((f.id, f.is_write));
-                    if f.is_write {
-                        self.stats.writes += 1;
+            channel.check_times();
+            // Completions first (none are due before `next_done`).
+            if channel.next_done <= now {
+                let mut i = 0;
+                while i < channel.in_flight.len() {
+                    if channel.in_flight[i].done_at <= now {
+                        let f = channel.in_flight.swap_remove(i);
+                        completions.push((f.id, f.is_write));
+                        if f.is_write {
+                            self.stats.writes += 1;
+                        } else {
+                            self.stats.reads += 1;
+                        }
                     } else {
-                        self.stats.reads += 1;
+                        i += 1;
                     }
-                } else {
-                    i += 1;
                 }
+                channel.next_done = channel.scan_next_done();
             }
             // A refresh storm blocks command issue; completions above
-            // still drain.
-            if fault_blocked {
+            // still drain. Before `next_issue` no queued request's bank
+            // is free, so the scheduler below would pick nothing.
+            if fault_blocked || channel.next_issue > now {
                 continue;
             }
             // Pick the next request to issue (one command per channel per
@@ -313,6 +360,8 @@ impl Dram {
                 is_write: q.req.is_write,
                 done_at: done,
             });
+            channel.next_done = channel.next_done.min(done);
+            channel.next_issue = channel.scan_next_issue();
         }
     }
 }
@@ -523,6 +572,49 @@ mod tests {
         d.set_fault(0, true);
         // In-flight completion still an event while blocked.
         assert_eq!(d.next_event(), Some(56));
+    }
+
+    /// Refresh storms toggled while requests queue and drain: on every
+    /// cycle `can_act` and `next_event` agree with each other and with
+    /// what `step` then does — an inert cycle only ticks `busy_cycles`,
+    /// an active one completes or issues something.
+    #[test]
+    fn fault_toggles_keep_can_act_and_next_event_in_step_with_step() {
+        let mut d = dram();
+        let rows = [0u64, 3, 6, 1, 2, 9, 4, 12, 5, 0, 7, 3];
+        let mut id = 0u64;
+        let mut completed = 0;
+        let mut now = 0u64;
+        while completed < 20 {
+            if id < 20 && now.is_multiple_of(11) {
+                d.enqueue(
+                    now,
+                    read(id, rows[id as usize % rows.len()] * 2048 + id * 64),
+                );
+                id += 1;
+            }
+            d.set_fault(0, (now / 37) % 2 == 1);
+            let acts = d.can_act(now);
+            let next = d.next_event();
+            assert_eq!(acts, next.is_some_and(|t| t <= now), "cycle {now}");
+            let before = *d.stats();
+            let out = d.step(now);
+            let mut after = *d.stats();
+            after.busy_cycles = before.busy_cycles;
+            if acts {
+                assert!(!out.is_empty() || after != before, "cycle {now} must act");
+            } else {
+                assert!(
+                    out.is_empty() && after == before,
+                    "cycle {now} must be inert"
+                );
+                assert_eq!(d.next_event(), next);
+            }
+            completed += out.len();
+            now += 1;
+            assert!(now < 20_000, "requests did not drain");
+        }
+        assert_eq!(d.next_event(), None);
     }
 
     #[test]
