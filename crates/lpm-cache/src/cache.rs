@@ -122,7 +122,7 @@ pub struct Cache {
     deferred_blocked: bool,
     /// Soonest `end` among in-flight lookups (`u64::MAX` when none) —
     /// maintained at push and resolution, so the per-cycle "anything
-    /// due?" checks in [`Cache::can_act`] and `step` are O(1).
+    /// due?" checks in [`Cache::wake_at`] and `step` are O(1).
     lookup_min_end: u64,
 }
 
@@ -468,37 +468,42 @@ impl Cache {
         }
     }
 
-    /// Whether a `step(now)` could mutate any state beyond the
-    /// deterministic per-cycle deferred-retry counter: a pending fill
-    /// to apply, a staged prefetch to emit, or a lookup resolving at or
-    /// before `now`.
+    /// Earliest cycle at or after `now` at which a `step` could mutate
+    /// any state beyond the deterministic per-cycle deferred-retry
+    /// counter: `now` while a fill is pending, a prefetch is staged or
+    /// an unblocked deferred miss awaits its retry, otherwise the
+    /// soonest lookup resolution (`u64::MAX` when none). Fills arrive
+    /// from outside and end an idle span at the hierarchy level.
     ///
-    /// *Blocked* deferred misses deliberately do **not** make the cache
-    /// busy. Once every entry in `deferred` has failed an MSHR
-    /// allocation against the current state (`deferred_blocked`),
-    /// nothing can change that outcome without an event this predicate
-    /// (or the surrounding hierarchy) already reports: a retry only
-    /// starts to succeed after a fill frees an MSHR slot or installs
-    /// the line, and capacity-knob moves (fault reservation changes,
-    /// reconfiguration) clear the flag and force a real retry round. So
-    /// across an idle span the retry loop provably re-fails every
-    /// cycle, mutating exactly `mshr_rejects += deferred.len()` per
-    /// cycle — which [`Cache::skip_idle_span`] applies in one batch.
-    pub fn can_act(&self, now: u64) -> bool {
+    /// *Blocked* deferred misses deliberately do **not** wake the cache.
+    /// Once every entry in `deferred` has failed an MSHR allocation
+    /// against the current state (`deferred_blocked`), nothing can
+    /// change that outcome without an event this method (or the
+    /// surrounding hierarchy) already reports: a retry only starts to
+    /// succeed after a fill frees an MSHR slot or installs the line, and
+    /// capacity-knob moves (fault reservation changes, reconfiguration)
+    /// clear the flag and force a real retry round. So across an idle
+    /// span the retry loop provably re-fails every cycle, mutating
+    /// exactly `mshr_rejects += deferred.len()` per cycle — which
+    /// [`Cache::skip_idle_span`] applies in one batch.
+    pub fn wake_at(&self, now: u64) -> u64 {
         debug_assert_eq!(
             self.lookup_min_end,
             self.lookups.iter().map(|l| l.end).min().unwrap_or(u64::MAX),
             "lookup_min_end out of sync"
         );
-        !self.pending_fills.is_empty()
+        if !self.pending_fills.is_empty()
             || (!self.deferred.is_empty() && !self.deferred_blocked)
             || !self.pending_outgoing_prefetch.is_empty()
-            || self.lookup_min_end <= now
+        {
+            return now;
+        }
+        self.lookup_min_end.max(now)
     }
 
-    /// Apply the statistic deltas of `k` consecutive cycles in which
-    /// [`Cache::can_act`] is false: each cycle's `step` would retry
-    /// every deferred miss and re-fail, bumping `mshr_rejects` once per
+    /// Apply the statistic deltas of `k` consecutive cycles before
+    /// [`Cache::wake_at`]: each cycle's `step` would retry every
+    /// deferred miss and re-fail, bumping `mshr_rejects` once per
     /// entry. State (MSHR file, array, deferred order) is untouched,
     /// exactly as `k` failing retries leave it.
     pub fn skip_idle_span(&mut self, k: u64) {
@@ -507,29 +512,6 @@ impl Cache {
             "skipping with an unproven deferred retry round"
         );
         self.stats.mshr_rejects += k * self.deferred.len() as u64;
-    }
-
-    /// Earliest future cycle at which this cache changes state on its
-    /// own: the soonest lookup resolution (`step(end)` turns it into a
-    /// hit completion or a miss). Fills arrive from outside and end the
-    /// idle span at the hierarchy level. `None` when nothing is staged.
-    pub fn next_event(&self) -> Option<u64> {
-        if self.lookup_min_end == u64::MAX {
-            None
-        } else {
-            Some(self.lookup_min_end)
-        }
-    }
-
-    /// Which [`Cache::can_act`] clauses hold at `now`, in check order:
-    /// `[pending_fills, deferred, outgoing_prefetch, lookup_due]`.
-    pub fn busy_breakdown(&self, now: u64) -> [bool; 4] {
-        [
-            !self.pending_fills.is_empty(),
-            !self.deferred.is_empty() && !self.deferred_blocked,
-            !self.pending_outgoing_prefetch.is_empty(),
-            self.lookup_min_end <= now,
-        ]
     }
 
     /// Whether the line containing `addr` is currently present
@@ -839,33 +821,31 @@ mod tests {
         assert_eq!(c.miss_phase_count(), 1);
     }
 
-    /// Event-horizon contract: `can_act` is false exactly on the cycles
-    /// where `step` provably mutates nothing, and `next_event` names
-    /// the cycle the next lookup resolves.
+    /// Event-horizon contract: `wake_at(now)` lies past `now` exactly on
+    /// the cycles where `step` provably mutates nothing, and names the
+    /// cycle the next lookup resolves.
     #[test]
     fn can_act_and_next_event_bracket_idle_cycles() {
         let mut c = Cache::new(cfg(4, 2, 1, 4), 0);
-        assert!(!c.can_act(0));
-        assert_eq!(c.next_event(), None);
+        assert_eq!(c.wake_at(0), u64::MAX);
         // Lookup accepted at 0 with H=4 resolves in step(3).
         assert_eq!(c.access(0, AccessId(1), 0, false), AccessResponse::Accepted);
-        assert_eq!(c.next_event(), Some(3));
+        assert_eq!(c.wake_at(0), 3);
         for now in 0..3 {
-            assert!(!c.can_act(now), "hit phase cycle {now} is inert");
+            assert!(c.wake_at(now) > now, "hit phase cycle {now} is inert");
             let out = c.step(now);
             assert!(out.completions.is_empty() && out.outgoing_misses.is_empty());
         }
-        assert!(c.can_act(3), "resolution cycle must act");
+        assert_eq!(c.wake_at(3), 3, "resolution cycle must act");
         let out = c.step(3);
         assert_eq!(out.outgoing_misses, vec![0], "cold miss goes downstream");
         // Miss phase: nothing staged, nothing to do until the fill.
-        assert!(!c.can_act(4));
-        assert_eq!(c.next_event(), None);
+        assert_eq!(c.wake_at(4), u64::MAX);
         c.fill(0);
-        assert!(c.can_act(4), "pending fill must be applied");
+        assert_eq!(c.wake_at(4), 4, "pending fill must be applied");
         let out = c.step(4);
         assert_eq!(out.completions.len(), 1);
-        assert!(!c.can_act(5));
+        assert!(c.wake_at(5) > 5);
     }
 
     #[test]
@@ -885,7 +865,7 @@ mod tests {
         let mut skipped = mk();
         assert_eq!(stepped.deferred_misses(), 1);
         assert!(
-            !stepped.can_act(1),
+            stepped.wake_at(1) > 1,
             "a stalled deferred queue must not force per-cycle stepping"
         );
         for now in 1..=5 {
@@ -898,7 +878,7 @@ mod tests {
         // The fill ends the span; from there both sides act again.
         stepped.fill(0);
         skipped.fill(0);
-        assert!(stepped.can_act(6) && skipped.can_act(6));
+        assert!(stepped.wake_at(6) == 6 && skipped.wake_at(6) == 6);
         let a = stepped.step(6);
         let b = skipped.step(6);
         assert_eq!(a.completions.len(), b.completions.len());

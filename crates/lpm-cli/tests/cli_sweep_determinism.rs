@@ -5,7 +5,8 @@
 //! argv in, bytes out — so no amount of internal refactoring can
 //! silently trade determinism away.
 //!
-//! Also pins the typed argument errors for `--jobs`.
+//! Also pins the typed argument errors for `--jobs` and for a warm-up
+//! that leaves nothing to measure.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -96,4 +97,32 @@ fn bad_jobs_values_are_rejected_with_typed_errors() {
             "error for --jobs {value} should name the flag and the value, got: {stderr}"
         );
     }
+}
+
+#[test]
+fn warmup_that_uses_up_the_looped_trace_is_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_lpm-cli"))
+        .args([
+            "sweep",
+            "--configs",
+            "A",
+            "--workloads",
+            "mcf",
+            "--seeds",
+            "1",
+        ])
+        .args(["--instructions", "3000", "--warmup", "99999999999"])
+        .output()
+        .expect("lpm-cli should run");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a sweep with nothing to measure must fail"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("nothing to measure") && stderr.contains("99999999999"),
+        "error should name the warm-up, got: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no report may be printed");
 }

@@ -222,7 +222,7 @@ pub struct Core {
     /// Per ring slot: the next consumer slot on the same producer's chain.
     next_waiter: Vec<u32>,
     /// Memoized idle verdict: `true` means the *state-based* clauses of
-    /// [`Core::can_act`] (retirable head, issuable Waiting entry,
+    /// [`Core::wake_at`] (retirable head, issuable Waiting entry,
     /// dispatch room) were checked and found false, and no state has
     /// changed since. Those clauses do not depend on the cycle number,
     /// so the verdict stays valid until an event mutates the core: a
@@ -504,30 +504,32 @@ impl Core {
         })
     }
 
-    /// Whether [`Core::cycle`] at `now` could do anything beyond the
-    /// per-cycle stall bookkeeping: complete an executing op, retire,
-    /// issue (or even *attempt* the memory port — a rejection mutates
-    /// `mem_rejects`), or dispatch. When this is `false` the cycle is
-    /// provably inert and may be coalesced into a span whose stats are
-    /// applied by [`Core::skip_idle_span`].
+    /// Earliest cycle at or after `now` at which [`Core::cycle`] could do
+    /// anything beyond the per-cycle stall bookkeeping: `now` if it can
+    /// retire, issue (or even *attempt* the memory port — a rejection
+    /// mutates `mem_rejects`) or dispatch, otherwise the soonest
+    /// executing-op completion (`u64::MAX` when the core waits purely on
+    /// memory completions, external events the caller tracks). Every
+    /// cycle before it is provably inert and may be coalesced into a
+    /// span whose stats are applied by [`Core::skip_idle_span`].
     ///
     /// The one deliberate exclusion mirrors the issue loop: a ready
     /// store blocked on a full store buffer is skipped there without
-    /// touching any persistent state, so it does not make a cycle
-    /// actionable (and the buffer cannot drain without an external
-    /// completion, which ends the span at the CMP level anyway).
-    pub fn can_act(&self, now: u64) -> bool {
+    /// touching any persistent state, so it does not wake the core (and
+    /// the buffer cannot drain without an external completion, which
+    /// ends the span at the CMP level anyway).
+    pub fn wake_at(&self, now: u64) -> u64 {
         // Step 1/2: an executing op completing, or a retirable head.
         if self.exec_min_done <= now {
-            return true;
+            return now;
         }
         if self.idle_memo.get() {
             // State-based clauses were false and nothing has changed
-            // since; only the (just-checked) time clause could differ.
-            return false;
+            // since; only the time clause can wake the core.
+            return self.exec_min_done;
         }
         if matches!(self.rob.front(), Some(e) if e.state == State::Done) {
-            return true;
+            return now;
         }
         // Step 3: mirror the issue pass. Any ready entry in the window
         // that would issue a compute or attempt the port acts this cycle.
@@ -538,36 +540,25 @@ impl Core {
         let mut from = head_seq;
         while let Some(seq) = self.next_ready(from, end) {
             if store_room || !matches!(self.rob[(seq - head_seq) as usize].op, Op::Store(_)) {
-                return true;
+                return now;
             }
             from = seq + 1;
         }
         // Step 4: dispatch possible.
-        let dispatchable = self.rob.len() < self.cfg.rob_size as usize
+        if self.rob.len() < self.cfg.rob_size as usize
             && self.waiting < self.cfg.iw_size as usize
-            && self.next_dispatch < self.total_instructions;
-        if !dispatchable {
-            // Every state-based clause is false: cache the verdict so
-            // repeated polls while other components stay busy are O(1).
-            self.idle_memo.set(true);
+            && self.next_dispatch < self.total_instructions
+        {
+            return now;
         }
-        dispatchable
+        // Every state-based clause is false: cache the verdict so
+        // repeated polls while other components stay busy are O(1).
+        self.idle_memo.set(true);
+        self.exec_min_done
     }
 
-    /// Earliest future cycle at which this core changes state on its
-    /// own: the soonest `Executing` completion. Memory completions are
-    /// external events the caller tracks separately. `None` when the
-    /// core is waiting purely on outside input.
-    pub fn next_event(&self) -> Option<u64> {
-        if self.exec_min_done == u64::MAX {
-            None
-        } else {
-            Some(self.exec_min_done)
-        }
-    }
-
-    /// Apply the stats of `k` provably-inert cycles (each a cycle where
-    /// [`Core::can_act`] was `false`) in one shot — exactly what `k`
+    /// Apply the stats of `k` provably-inert cycles (each before
+    /// [`Core::wake_at`]) in one shot — exactly what `k`
     /// calls to [`Core::cycle`] would have recorded: no retirement, no
     /// compute completion (so never an overlap cycle), just the stall
     /// and memory-busy bookkeeping.
@@ -592,7 +583,7 @@ impl Core {
     /// (before or after `cycle`, consistently).
     pub fn cycle(&mut self, now: u64, mem: &mut dyn MemoryPort) {
         // Inert-cycle short circuit: a cached idle verdict (set by
-        // [`Core::can_act`], cleared by any event) plus no executing op
+        // [`Core::wake_at`], cleared by any event) plus no executing op
         // due means this cycle is provably a no-op beyond the stall
         // bookkeeping — the same proof the span skipper relies on,
         // applied one cycle at a time. Never taken under reference
@@ -998,7 +989,7 @@ mod tests {
     }
 
     /// Differential check for the event-driven fast path: a core stuck
-    /// behind a long-latency load reports `can_act == false`, and
+    /// behind a long-latency load wakes no sooner than its load, and
     /// skipping the idle span in one shot leaves it in a state
     /// indistinguishable (stats now and forever after) from stepping
     /// the same span cycle by cycle.
@@ -1022,14 +1013,14 @@ mod tests {
                                                      // Warm both cores identically until the load is in flight and
                                                      // everything else is dependence-blocked.
         let mut now = 0u64;
-        while per_cycle.can_act(now) {
+        while per_cycle.wake_at(now) <= now {
             per_cycle.cycle(now, &mut mem);
             skipped.cycle(now, &mut mem);
             now += 1;
             assert!(now < 100, "core never went idle");
         }
-        assert!(!skipped.can_act(now));
-        assert_eq!(per_cycle.next_event(), None, "waiting purely on memory");
+        assert!(skipped.wake_at(now) > now);
+        assert_eq!(per_cycle.wake_at(now), u64::MAX, "waiting purely on memory");
         // 500 idle cycles: reference steps them, fast path leaps them.
         for t in now..now + 500 {
             per_cycle.cycle(t, &mut mem);
@@ -1129,7 +1120,7 @@ mod tests {
                 core.complete_mem(id);
             }
             // Poll like the fast path does, so the idle memo is live too.
-            core.can_act(*now);
+            core.wake_at(*now);
             core.cycle(*now, &mut mem);
             fold_stats(&mut digest, core.stats());
             *now += 1;
@@ -1200,7 +1191,7 @@ mod tests {
         assert_eq!((core.waiting, core.outstanding_mem), (6, 1));
         core.reconfigure(CoreConfig { iw_size: 2, ..cfg });
         core.complete_mem(0); // all six computes turn ready at once
-        assert!(core.can_act(2));
+        assert_eq!(core.wake_at(2), 2);
         core.cycle(2, &mut mem);
         let executing = |c: &Core| {
             let mut seqs: Vec<u64> = c.executing.iter().map(|&(_, s)| s).collect();
@@ -1249,7 +1240,11 @@ mod tests {
         core.cycle(0, &mut mem); // dispatch both loads
         core.cycle(1, &mut mem); // issue both
         assert_eq!(core.outstanding_mem, 2);
-        assert!(!core.can_act(2), "both loads in flight, nothing to do");
+        assert_eq!(
+            core.wake_at(2),
+            u64::MAX,
+            "both loads in flight, nothing to do"
+        );
         for unknown in [7, 2, u64::MAX] {
             core.complete_mem(unknown);
         }
@@ -1258,7 +1253,7 @@ mod tests {
         core.complete_mem(0);
         core.complete_mem(0); // a repeated completion is unknown too
         assert_eq!(core.outstanding_mem, 1);
-        assert!(core.can_act(2), "the completed head can retire");
+        assert_eq!(core.wake_at(2), 2, "the completed head can retire");
     }
 
     #[test]

@@ -210,26 +210,16 @@ impl Dram {
         self.channels.iter().map(|c| c.banks.len()).sum()
     }
 
-    /// Whether a `step(now)` could mutate any state or statistic beyond
-    /// the busy-cycle counter: an in-flight transfer completing, or —
-    /// unless a refresh storm blocks command issue — a queued request
-    /// whose bank is free and could therefore be scheduled. When
-    /// `false`, the cycle only ticks `busy_cycles`, which
-    /// [`Dram::skip_idle_span`] batches.
-    pub fn can_act(&self, now: u64) -> bool {
-        self.channels.iter().any(|c| {
-            c.check_times();
-            c.next_done <= now || (!self.fault_blocked && c.next_issue <= now)
-        })
-    }
-
-    /// Earliest future cycle at which this controller changes state on
-    /// its own: the soonest in-flight completion, or (when issue is not
-    /// fault-blocked) the soonest bank-free time of a queued request.
-    /// The data bus never gates *issue* (it only shifts the transfer
-    /// slot), so `bus_free_at` contributes no event. `None` when fully
-    /// drained (or blocked with nothing in flight).
-    pub fn next_event(&self) -> Option<u64> {
+    /// Earliest cycle at or after `now` at which a `step` could mutate
+    /// any state or statistic beyond the busy-cycle counter: the soonest
+    /// in-flight completion or — unless a refresh storm blocks command
+    /// issue — the soonest bank-free time of a queued request. The data
+    /// bus never gates *issue* (it only shifts the transfer slot), so
+    /// `bus_free_at` contributes no event. `now` means the controller
+    /// acts this cycle; `u64::MAX` when drained (or blocked with nothing
+    /// in flight). Until the returned cycle each step only ticks
+    /// `busy_cycles`, which [`Dram::skip_idle_span`] batches.
+    pub fn wake_at(&self, now: u64) -> u64 {
         let soonest = |c: &Channel| {
             c.check_times();
             if self.fault_blocked {
@@ -241,12 +231,12 @@ impl Dram {
         self.channels
             .iter()
             .map(soonest)
-            .min()
-            .filter(|&t| t != u64::MAX)
+            .fold(u64::MAX, u64::min)
+            .max(now)
     }
 
-    /// Apply the stats of `k` provably-inert cycles (each a cycle where
-    /// [`Dram::can_act`] was `false`) in one shot — exactly what `k`
+    /// Apply the stats of `k` provably-inert cycles (each before
+    /// [`Dram::wake_at`]) in one shot — exactly what `k`
     /// calls to [`Dram::step`] would have recorded.
     pub fn skip_idle_span(&mut self, k: u64) {
         if self.outstanding() > 0 {
@@ -531,7 +521,7 @@ mod tests {
     }
 
     /// Event-horizon contract: during a bank's array access no step
-    /// mutates anything, `next_event` names the completion cycle, and
+    /// mutates anything, `wake_at` names the completion cycle, and
     /// skipping the span leaves stats identical to stepping it.
     #[test]
     fn idle_span_skip_matches_per_cycle_stepping() {
@@ -540,22 +530,21 @@ mod tests {
         per_cycle.enqueue(0, read(1, 0));
         skipped.enqueue(0, read(1, 0));
         // Cycle 0 issues the command on both.
-        assert!(per_cycle.can_act(0));
+        assert_eq!(per_cycle.wake_at(0), 0);
         assert!(per_cycle.step(0).is_empty());
         assert!(skipped.step(0).is_empty());
         // tRCD + tCAS + burst = 56: cycles 1..=55 are provably inert.
-        let done = skipped.next_event().expect("one request in flight");
-        assert_eq!(done, 56);
+        let done = skipped.wake_at(1);
+        assert_eq!(done, 56, "one request in flight");
         for t in 1..done {
-            assert!(!per_cycle.can_act(t), "cycle {t} must be inert");
+            assert!(per_cycle.wake_at(t) > t, "cycle {t} must be inert");
             assert!(per_cycle.step(t).is_empty());
         }
         skipped.skip_idle_span(done - 1);
         assert_eq!(per_cycle.stats(), skipped.stats());
         assert_eq!(per_cycle.step(done), skipped.step(done));
         assert_eq!(per_cycle.stats(), skipped.stats());
-        assert_eq!(skipped.next_event(), None);
-        assert!(!skipped.can_act(done + 1));
+        assert_eq!(skipped.wake_at(done + 1), u64::MAX);
     }
 
     #[test]
@@ -564,19 +553,18 @@ mod tests {
         d.enqueue(0, read(1, 0));
         d.set_fault(0, true);
         // Blocked with nothing in flight: no event, not actionable.
-        assert!(!d.can_act(0));
-        assert_eq!(d.next_event(), None);
+        assert_eq!(d.wake_at(0), u64::MAX);
         d.set_fault(0, false);
-        assert!(d.can_act(0), "free bank + queued request must issue");
+        assert_eq!(d.wake_at(0), 0, "free bank + queued request must issue");
         d.step(0);
         d.set_fault(0, true);
         // In-flight completion still an event while blocked.
-        assert_eq!(d.next_event(), Some(56));
+        assert_eq!(d.wake_at(1), 56);
     }
 
     /// Refresh storms toggled while requests queue and drain: on every
-    /// cycle `can_act` and `next_event` agree with each other and with
-    /// what `step` then does — an inert cycle only ticks `busy_cycles`,
+    /// cycle `wake_at` lies at or after `now` and agrees with what
+    /// `step` then does — an inert cycle only ticks `busy_cycles`,
     /// an active one completes or issues something.
     #[test]
     fn fault_toggles_keep_can_act_and_next_event_in_step_with_step() {
@@ -594,9 +582,9 @@ mod tests {
                 id += 1;
             }
             d.set_fault(0, (now / 37) % 2 == 1);
-            let acts = d.can_act(now);
-            let next = d.next_event();
-            assert_eq!(acts, next.is_some_and(|t| t <= now), "cycle {now}");
+            let next = d.wake_at(now);
+            let acts = next <= now;
+            assert!(next >= now, "cycle {now}");
             let before = *d.stats();
             let out = d.step(now);
             let mut after = *d.stats();
@@ -608,13 +596,13 @@ mod tests {
                     out.is_empty() && after == before,
                     "cycle {now} must be inert"
                 );
-                assert_eq!(d.next_event(), next);
+                assert_eq!(d.wake_at(now + 1), next);
             }
             completed += out.len();
             now += 1;
             assert!(now < 20_000, "requests did not drain");
         }
-        assert_eq!(d.next_event(), None);
+        assert_eq!(d.wake_at(now), u64::MAX);
     }
 
     #[test]

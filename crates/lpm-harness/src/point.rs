@@ -352,6 +352,17 @@ impl SweepSpec {
         if self.instructions == 0 {
             return Err("sweep needs at least one instruction per trace".into());
         }
+        if self.loop_repeats == 0 {
+            return Err("sweep needs at least one pass over each trace (loop_repeats)".into());
+        }
+        let looped = (self.instructions as u64).saturating_mul(u64::from(self.loop_repeats));
+        if self.warmup_instructions >= looped {
+            return Err(format!(
+                "warm-up of {} instructions leaves nothing to measure: each point runs {} \
+                 ({} instructions x {} passes)",
+                self.warmup_instructions, looped, self.instructions, self.loop_repeats
+            ));
+        }
         if self.intervals == 0 {
             return Err("sweep needs at least one measurement interval".into());
         }
@@ -528,6 +539,37 @@ mod tests {
             ..SweepSpec::default()
         };
         assert_ne!(spec.fingerprint(), io_chaotic.fingerprint());
+    }
+
+    #[test]
+    fn specs_that_measure_nothing_are_rejected() {
+        let no_pass = SweepSpec {
+            loop_repeats: 0,
+            ..SweepSpec::default()
+        };
+        assert!(no_pass.validate().unwrap_err().contains("loop_repeats"));
+        // 3 000 instructions x 2 passes: a 6 000-instruction warm-up
+        // retires the whole looped trace, one fewer leaves one to measure.
+        let short = |warmup_instructions| SweepSpec {
+            instructions: 3_000,
+            loop_repeats: 2,
+            warmup_instructions,
+            ..SweepSpec::default()
+        };
+        assert!(short(6_000)
+            .validate()
+            .unwrap_err()
+            .contains("nothing to measure"));
+        assert!(short(u64::MAX).validate().is_err());
+        assert!(short(5_999).validate().is_ok());
+        // The product saturates instead of wrapping.
+        let huge = SweepSpec {
+            instructions: usize::MAX,
+            loop_repeats: u32::MAX,
+            warmup_instructions: u64::MAX - 1,
+            ..SweepSpec::default()
+        };
+        assert!(huge.validate().is_ok());
     }
 
     #[test]

@@ -373,6 +373,16 @@ mod tests {
     fn invalid_wire_specs_get_typed_rejections() {
         let rej = decode_spec(&Value::Str("nope".into())).unwrap_err();
         assert_eq!(rej.reason(), "invalid-spec");
+        // Well-formed but unable to measure anything: no pass over the
+        // trace would reach the simulator's one-pass assertion.
+        let no_pass = SweepSpec {
+            loop_repeats: 0,
+            ..SweepSpec::default()
+        };
+        let wire = lpm_harness::spec_to_json(&no_pass).unwrap();
+        let rej = decode_spec(&wire).unwrap_err();
+        assert_eq!(rej.reason(), "invalid-spec");
+        assert!(rej.detail().contains("loop_repeats"), "{rej:?}");
     }
 
     #[test]

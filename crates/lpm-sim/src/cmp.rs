@@ -69,12 +69,6 @@ struct LevelReq {
 /// reports it as [`SimError::Deadlock`].
 const WATCHDOG_CYCLES: u64 = 500_000;
 
-/// Shortest idle span worth batching. Below this, the per-span
-/// bookkeeping in [`Cmp::apply_idle_span`] (analyzer span samples,
-/// per-component skip calls, horizon bounds) costs more than simply
-/// real-stepping the idle cycles, which is equally bit-identical.
-const MIN_SKIP_SPAN: u64 = 8;
-
 /// The N-core chip multiprocessor. The shared side of the hierarchy is a
 /// chain of one or more levels (L2 [, L3, …]) ending at DRAM — "the
 /// extension to additional cache levels is straightforward" (§III).
@@ -167,6 +161,9 @@ impl Cmp {
         }
         if slots.is_empty() {
             return bad("need at least one core".into());
+        }
+        if repeats == 0 {
+            return bad("need at least one pass over each trace".into());
         }
         if slots.len() > 32 {
             return bad("tag encoding supports up to 32 cores".into());
@@ -306,37 +303,6 @@ impl Cmp {
     /// not part of any report or export.
     pub fn skipped(&self) -> (u64, u64) {
         (self.skipped_spans, self.skipped_cycles)
-    }
-
-    /// Union of [`lpm_cache::Cache::busy_breakdown`] across the private
-    /// L1s (diagnostic companion to [`Cmp::busy_breakdown`]).
-    pub fn l1_busy_breakdown(&self) -> [bool; 4] {
-        let mut out = [false; 4];
-        for c in &self.l1s {
-            for (o, b) in out.iter_mut().zip(c.busy_breakdown(self.now)) {
-                *o |= b;
-            }
-        }
-        out
-    }
-
-    /// Which busy conditions hold at the current cycle, in the order
-    /// [`Cmp::busy_now`] checks them: `[queues, to_dram, completions,
-    /// dram, l1s, shared, cores]`. Diagnostic companion to
-    /// [`Cmp::skipped`] for understanding why a workload's cycles do or
-    /// do not coalesce.
-    pub fn busy_breakdown(&self) -> [bool; 7] {
-        [
-            self.level_queues.iter().any(|q| !q.is_empty()),
-            !self.to_dram.is_empty(),
-            self.core_completions.iter().any(|c| !c.is_empty()),
-            self.dram.can_act(self.now),
-            self.l1s.iter().any(|c| c.can_act(self.now)),
-            self.shared.iter().any(|c| c.can_act(self.now)),
-            self.cores
-                .iter()
-                .any(|c| !c.finished() && c.can_act(self.now)),
-        ]
     }
 
     /// Number of cores.
@@ -859,80 +825,67 @@ impl Cmp {
                 .all(|c| c.miss_phase_count() == 0 && c.hit_phase_count(self.now) == 0)
     }
 
-    /// Whether any component can change state at the current cycle — the
-    /// gate of the event-driven fast path. `true` forces a real step:
-    /// work is queued between layers, a completion is deliverable, or
-    /// some core, cache or the DRAM controller can act right now.
-    fn busy_now(&self) -> bool {
-        self.level_queues.iter().any(|q| !q.is_empty())
+    /// The earliest cycle at or after `now` at which any component can
+    /// change state — one pass over the components, stopping at the
+    /// first that acts this cycle. `now` forces a real step: work is
+    /// queued between layers, a completion is deliverable, or some core,
+    /// cache or the DRAM controller can act right now. Otherwise it is
+    /// the soonest instruction-execution completion, cache lookup
+    /// resolution, DRAM completion or issue opportunity — or the cycle
+    /// at which the deadlock watchdog would fire. `u64::MAX` when every
+    /// core finished and the memory system drained. Fault-schedule
+    /// transitions are *not* folded in here; the span scan in
+    /// [`Cmp::skip_span_with`] ticks the injector cycle-by-cycle and
+    /// truncates the span itself.
+    fn next_wake(&self) -> u64 {
+        let now = self.now;
+        if self.level_queues.iter().any(|q| !q.is_empty())
             || !self.to_dram.is_empty()
             || self.core_completions.iter().any(|c| !c.is_empty())
-            || self.dram.can_act(self.now)
-            || self
-                .l1s
-                .iter()
-                .chain(self.shared.iter())
-                .any(|c| c.can_act(self.now))
-            || self
-                .cores
-                .iter()
-                .any(|c| !c.finished() && c.can_act(self.now))
-    }
-
-    /// The earliest future cycle at which any component can change state:
-    /// the next instruction-execution completion, cache lookup
-    /// resolution, DRAM completion or issue opportunity — or the cycle
-    /// at which the deadlock watchdog would fire. `u64::MAX` when no
-    /// component holds a future event (every core finished and the
-    /// memory system drained). Fault-schedule transitions are *not*
-    /// folded in here; the span scan in [`Cmp::skip_span_with`] ticks
-    /// the injector cycle-by-cycle and truncates the span itself.
-    pub fn next_event_horizon(&self) -> u64 {
-        let mut h = u64::MAX;
-        for c in &self.cores {
-            if !c.finished() {
-                if let Some(e) = c.next_event() {
-                    h = h.min(e);
-                }
-            }
+        {
+            return now;
         }
-        for c in self.l1s.iter().chain(self.shared.iter()) {
-            if let Some(e) = c.next_event() {
-                h = h.min(e);
-            }
-        }
-        if let Some(e) = self.dram.next_event() {
-            h = h.min(e);
+        // Polled lazily and in order, stopping at the first component
+        // that acts now: a core's poll may set its idle memo, so no core
+        // is polled while an earlier component already forces the step.
+        let caches = self.l1s.iter().chain(&self.shared).map(|c| c.wake_at(now));
+        let cores = self
+            .cores
+            .iter()
+            .filter(|c| !c.finished())
+            .map(|c| c.wake_at(now));
+        let mut wakes = std::iter::once(self.dram.wake_at(now))
+            .chain(caches)
+            .chain(cores);
+        let mut wake = u64::MAX;
+        while wake > now {
+            let Some(w) = wakes.next() else { break };
+            wake = wake.min(w);
         }
         if !self.all_finished() {
             // First cycle at which `try_step_with`'s watchdog could
             // fire: progress checks must not be skipped past it.
-            h = h.min(self.last_progress_cycle + WATCHDOG_CYCLES + 1);
+            wake = wake.min(self.last_progress_cycle + WATCHDOG_CYCLES + 1);
         }
-        h
+        wake
     }
 
     /// Advance by one fast-path quantum, never past cycle `cap`: a
     /// single real step when something can act this cycle (or the
     /// reference loop is forced), otherwise one idle-span jump to the
-    /// event horizon. Callers loop on their own condition; everything a
+    /// next wake. Callers loop on their own condition; everything a
     /// loop condition can observe (retirement, `all_finished`,
     /// `memory_idle`) only changes at real steps, so checking it per
     /// quantum is equivalent to checking it per cycle.
     fn advance_with<R: Recorder>(&mut self, rec: &mut R, cap: u64) -> Result<(), SimError> {
-        if self.reference_stepping || self.busy_now() {
+        if self.reference_stepping {
             return self.try_step_with(rec);
         }
-        let span_end = self.next_event_horizon().min(cap);
-        debug_assert!(span_end > self.now, "idle span must make progress");
-        if span_end - self.now < MIN_SKIP_SPAN {
-            // A real step through an idle cycle records exactly what the
-            // span batch would (that is the bit-identity contract), so
-            // for spans too short to amortise the batch bookkeeping it
-            // is cheaper to just step.
+        let wake = self.next_wake();
+        if wake <= self.now {
             return self.try_step_with(rec);
         }
-        self.skip_span_with(rec, span_end)
+        self.skip_span_with(rec, wake.min(cap))
     }
 
     /// Skip the provably idle cycles `[now, span_end)` in one jump. The
@@ -1308,6 +1261,58 @@ mod tests {
     #[should_panic(expected = "one trace per core")]
     fn trace_count_mismatch_rejected() {
         build(vec![slot(32), slot(32)], vec![tiny_trace(10)]).unwrap();
+    }
+
+    #[test]
+    fn zero_repeats_rejected() {
+        let err = Cmp::try_new_with_hierarchy(
+            vec![slot(32)],
+            vec![CacheConfig::l2_default()],
+            DramConfig::ddr3_default(),
+            vec![tiny_trace(10)],
+            0,
+            7,
+        )
+        .unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(m) if m.contains("at least one pass")));
+    }
+
+    /// Idle spans of any length are batched. A chain of dependent L1
+    /// hits leaves the machine idle only for the few cycles of each
+    /// lookup; every such gap is skipped, bit-identical to stepping it.
+    #[test]
+    fn short_idle_gaps_are_skipped_and_match_reference() {
+        let chase: Trace = (0..4_000u64)
+            .map(|i| {
+                let load = Instr::load((i % 16) * 64);
+                if i == 0 {
+                    load
+                } else {
+                    load.depending_on(1)
+                }
+            })
+            .collect();
+        let make = || build(vec![slot(32)], vec![chase.clone()]).unwrap();
+        let mut fast = make();
+        let mut reference = make();
+        reference.set_reference_stepping(true);
+        assert!(fast.try_run(1_000_000).unwrap());
+        assert!(reference.try_run(1_000_000).unwrap());
+        assert_eq!(fast.now(), reference.now());
+        assert_eq!(
+            format!("{:?}", fast.report_for(0, 0.3)),
+            format!("{:?}", reference.report_for(0, 0.3)),
+        );
+        assert_eq!(fast.l1_stats(0), reference.l1_stats(0));
+        assert_eq!(fast.core_stats(0), reference.core_stats(0));
+        let (spans, cycles) = fast.skipped();
+        assert!(spans > 0, "no idle span was skipped");
+        assert!(
+            cycles < 8 * spans,
+            "mean skipped span {:.2} cycles is not short",
+            cycles as f64 / spans as f64
+        );
+        assert_eq!(reference.skipped(), (0, 0));
     }
 }
 

@@ -9,8 +9,9 @@ use lpm::core::sched::evaluate_schedule;
 use lpm::prelude::*;
 
 /// Table I shape: LPMR1 and relative stall fall from the starved
-/// configuration A to the matched configuration C; configuration E costs
-/// less than D.
+/// configuration A to the matched configuration C, where the knee sits:
+/// neither over-provisioned D nor E beats C's LPMR1. Configuration E
+/// costs less than D.
 #[test]
 fn table1_shape() {
     let trace = SpecWorkload::BwavesLike.generator().generate(30_000, 11);
@@ -18,6 +19,8 @@ fn table1_shape() {
     let a = measure_config("A", HwConfig::A, &base, &trace, 1).unwrap();
     let b = measure_config("B", HwConfig::B, &base, &trace, 1).unwrap();
     let c = measure_config("C", HwConfig::C, &base, &trace, 1).unwrap();
+    let d = measure_config("D", HwConfig::D, &base, &trace, 1).unwrap();
+    let e = measure_config("E", HwConfig::E, &base, &trace, 1).unwrap();
     assert!(
         a.lpmr1 > b.lpmr1 && b.lpmr1 > c.lpmr1 * 0.95,
         "LPMR1 not decreasing: A={} B={} C={}",
@@ -26,6 +29,13 @@ fn table1_shape() {
         c.lpmr1
     );
     assert!(a.ipc < b.ipc && b.ipc < c.ipc, "IPC not increasing");
+    assert!(
+        c.lpmr1 < d.lpmr1 && c.lpmr1 < e.lpmr1,
+        "knee not at C: C={} D={} E={}",
+        c.lpmr1,
+        d.lpmr1,
+        e.lpmr1
+    );
     assert!(HwConfig::E.cost() < HwConfig::D.cost());
 }
 
