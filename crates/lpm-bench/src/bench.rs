@@ -1,9 +1,9 @@
-//! `lpm bench` — the perf-trajectory harness.
+//! `lpm-cli bench` — the perf-trajectory harness.
 //!
-//! Runs a fixed suite of micro and macro benchmarks spanning every
-//! performance-critical crate (trace generation, the cycle-level
-//! simulator, the analytic C-AMAT/LPMR model, the parallel sweep engine
-//! and its checkpoint journal) and emits one `BENCH_<tag>.json` record:
+//! Runs a fixed suite of micro and macro benchmarks, one per question
+//! the repo benchmark (`perfbench/`) does not already answer: the
+//! cycle-level simulator's step loop, the lint gate, the parallel sweep
+//! engine and its checkpoint journal. It emits one `BENCH_<tag>.json` record:
 //! a single JSON line built with the in-repo [`lpm_telemetry::Value`]
 //! codec, validated by `telemetry_check --bench-json`, and committed at
 //! the repo root per PR so the performance trajectory of the codebase is
@@ -21,7 +21,6 @@ use std::path::PathBuf;
 
 use lpm_core::design_space::HwConfig;
 use lpm_harness::{load_journal, run_sweep_profiled, run_sweep_with, SweepOptions, SweepSpec};
-use lpm_model::{CamatParams, Eta, LayerRecursion, Lpmr};
 use lpm_sim::{System, SystemConfig};
 use lpm_telemetry::{wall_now, CycleAttribution, NullRecorder, Profiled, Value, WallProfile};
 use lpm_trace::{Generator, SpecWorkload};
@@ -320,33 +319,6 @@ fn bench_spec(quick: bool) -> SweepSpec {
     }
 }
 
-fn bench_trace_generation(quick: bool, prof: &WallProfile) -> BenchEntry {
-    let instructions = if quick { 50_000 } else { 200_000 };
-    let _span = prof.span("trace-generation");
-    let mut best_wall = u64::MAX;
-    let mut len = 0u64;
-    for _ in 0..BENCH_REPS {
-        let t0 = wall_now();
-        let trace = SpecWorkload::McfLike
-            .generator()
-            .generate(instructions, SEED);
-        let wall_ns = elapsed_ns(t0);
-        best_wall = best_wall.min(wall_ns);
-        len = trace.len() as u64;
-    }
-    BenchEntry {
-        name: "trace-generation".to_string(),
-        krate: "lpm-trace".to_string(),
-        metric: "instructions_per_sec".to_string(),
-        value: rate(instructions as u64, best_wall),
-        wall_ns: best_wall,
-        extra: vec![
-            ("instructions".to_string(), Value::Uint(len)),
-            ("reps".to_string(), Value::Uint(BENCH_REPS as u64)),
-        ],
-    }
-}
-
 fn bench_sim_step_loop(
     quick: bool,
     prof: &WallProfile,
@@ -394,40 +366,6 @@ fn bench_sim_step_loop(
         ],
     };
     Ok((entry, attr))
-}
-
-fn bench_model_evaluation(quick: bool, prof: &WallProfile) -> Result<BenchEntry, String> {
-    let iters: u64 = if quick { 100_000 } else { 500_000 };
-    let _span = prof.span("model-evaluation");
-    let upper = CamatParams::new(2.0, 1.8, 0.05, 40.0, 4.0).map_err(|e| e.to_string())?;
-    let eta = Eta::new(40.0, 30.0, 3.0, 4.0).map_err(|e| e.to_string())?;
-    let rec = LayerRecursion { upper, eta };
-    let mut best_wall = u64::MAX;
-    let mut acc = 0.0f64;
-    for _ in 0..BENCH_REPS {
-        acc = 0.0;
-        let t0 = wall_now();
-        for i in 0..iters {
-            let camat2 = 8.0 + (i % 16) as f64 * 0.25;
-            let camat1 = rec.camat1(camat2).map_err(|e| e.to_string())?;
-            acc += Lpmr::layer1(camat1, 0.4, 0.9)
-                .map_err(|e| e.to_string())?
-                .value();
-        }
-        best_wall = best_wall.min(elapsed_ns(t0));
-    }
-    Ok(BenchEntry {
-        name: "model-evaluation".to_string(),
-        krate: "lpm-model".to_string(),
-        metric: "evals_per_sec".to_string(),
-        value: rate(iters, best_wall),
-        wall_ns: best_wall,
-        // The checksum keeps the loop live and pins the model's output.
-        extra: vec![
-            ("checksum".to_string(), Value::Num(acc)),
-            ("reps".to_string(), Value::Uint(BENCH_REPS as u64)),
-        ],
-    })
 }
 
 /// Locate the workspace root: the first ancestor of the current
@@ -490,12 +428,10 @@ pub fn run_suite(tag: &str, quick: bool) -> Result<(BenchReport, String), String
     let mut entries = Vec::new();
     let mut attribution = CycleAttribution::default();
 
-    entries.push(bench_trace_generation(quick, &prof));
     let (sim_entry, sim_attr) = bench_sim_step_loop(quick, &prof)?;
     let cycles_per_sec = sim_entry.value;
     attribution.merge(&sim_attr);
     entries.push(sim_entry);
-    entries.push(bench_model_evaluation(quick, &prof)?);
     entries.push(bench_lint_workspace(&prof)?);
 
     // Macro benches: the sweep engine at jobs=1 (journaling, so the
@@ -633,8 +569,22 @@ pub struct BenchArgs {
     pub compare: Option<PathBuf>,
 }
 
+/// `lpm-cli bench --help` text.
+const BENCH_HELP: &str = "\
+usage: lpm-cli bench [--tag T] [--quick] [--out F] [--compare F]
+
+  --tag T        name the record BENCH_<T>.json (ascii letters, digits, - or _;
+                 default local)
+  --quick        reduced-scale suite for CI smoke runs
+  --out F        write the record to F instead of BENCH_<T>.json
+  --compare F    print per-entry deltas vs the record in F (advisory) and
+                 exit 1 when a total regressed past -10%
+  --help, -h     this text
+";
+
 /// Parse `bench` flags from raw arguments (everything after `bench`).
-pub fn parse_args(raw: &[String]) -> Result<BenchArgs, String> {
+/// `Ok(None)` when `--help` or `-h` asks for the flag list instead.
+pub fn parse_args(raw: &[String]) -> Result<Option<BenchArgs>, String> {
     let mut tag = "local".to_string();
     let mut quick = false;
     let mut out = None;
@@ -651,6 +601,7 @@ pub fn parse_args(raw: &[String]) -> Result<BenchArgs, String> {
             "--quick" => quick = true,
             "--out" => out = Some(PathBuf::from(value("--out")?)),
             "--compare" => compare = Some(PathBuf::from(value("--compare")?)),
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown bench flag {other:?}")),
         }
     }
@@ -664,21 +615,23 @@ pub fn parse_args(raw: &[String]) -> Result<BenchArgs, String> {
         ));
     }
     let out = out.unwrap_or_else(|| PathBuf::from(format!("BENCH_{tag}.json")));
-    Ok(BenchArgs {
+    Ok(Some(BenchArgs {
         tag,
         quick,
         out,
         compare,
-    })
+    }))
 }
 
 /// The `bench` subcommand: run the suite, write `BENCH_<tag>.json`,
 /// print a summary to stdout and the side-channel profile to stderr.
 /// With `--compare`, also print the delta table and gate the roll-up
 /// totals: exit 1 when either regressed past [`GATE_REGRESSION_PCT`].
-/// Shared by the `bench` binary and `lpm-cli bench`.
 pub fn cli_run(raw: &[String]) -> Result<u8, String> {
-    let args = parse_args(raw)?;
+    let Some(args) = parse_args(raw)? else {
+        print!("{BENCH_HELP}");
+        return Ok(0);
+    };
     let (report, side_channel) = run_suite(&args.tag, args.quick)?;
     eprint!("{side_channel}");
     let mut line = report.to_json().to_json();
@@ -747,17 +700,16 @@ mod tests {
         assert_eq!(snap.tag, "test");
         assert_eq!(snap.entries.len(), report.entries.len());
         let names: Vec<&str> = snap.entries.iter().map(|(n, _, _)| n.as_str()).collect();
-        for expected in [
-            "trace-generation",
-            "sim-step-loop",
-            "model-evaluation",
-            "lint-workspace",
-            "sweep-jobs1",
-            "sweep-jobsN",
-            "journal-replay",
-        ] {
-            assert!(names.contains(&expected), "missing {expected}");
-        }
+        assert_eq!(
+            names,
+            [
+                "sim-step-loop",
+                "lint-workspace",
+                "sweep-jobs1",
+                "sweep-jobsN",
+                "journal-replay",
+            ]
+        );
         assert!(snap.entries.iter().all(|(_, _, v)| *v > 0.0));
 
         // Self-compare renders a zero-delta advisory table.
@@ -780,13 +732,17 @@ mod tests {
     #[test]
     fn bench_args_parse_and_validate() {
         let sv = |items: &[&str]| -> Vec<String> { items.iter().map(|s| s.to_string()).collect() };
-        let a = parse_args(&sv(&["--tag", "pr7", "--quick"])).unwrap();
+        let a = parse_args(&sv(&["--tag", "pr7", "--quick"]))
+            .unwrap()
+            .unwrap();
         assert_eq!(a.tag, "pr7");
         assert!(a.quick);
         assert_eq!(a.out, PathBuf::from("BENCH_pr7.json"));
         assert_eq!(a.compare, None);
 
-        let a = parse_args(&sv(&["--out", "x.json", "--compare", "old.json"])).unwrap();
+        let a = parse_args(&sv(&["--out", "x.json", "--compare", "old.json"]))
+            .unwrap()
+            .unwrap();
         assert_eq!(a.tag, "local");
         assert_eq!(a.out, PathBuf::from("x.json"));
         assert_eq!(a.compare, Some(PathBuf::from("old.json")));
@@ -798,6 +754,9 @@ mod tests {
         assert!(parse_args(&sv(&["--frob"]))
             .unwrap_err()
             .contains("unknown bench flag"));
+        // A help request stops parsing where it stands.
+        assert_eq!(parse_args(&sv(&["--help"])), Ok(None));
+        assert_eq!(parse_args(&sv(&["--quick", "-h", "--frob"])), Ok(None));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub fn parse(raw: &[String]) -> Result<Args, String> {
     let command = it
         .next()
         .cloned()
-        .ok_or_else(|| "missing subcommand; try `lpm help`".to_string())?;
+        .ok_or_else(|| "missing subcommand; try `lpm-cli help`".to_string())?;
     let mut options = BTreeMap::new();
     let mut positional = Vec::new();
     while let Some(a) = it.next() {

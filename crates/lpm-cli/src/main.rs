@@ -1,12 +1,12 @@
-//! `lpm` — command-line driver for the LPM reproduction.
+//! `lpm-cli` — command-line driver for the LPM reproduction.
 //!
 //! ```text
-//! lpm workloads                             list the SPEC-like suite
-//! lpm run --workload gcc-like [...]         simulate + full LPM report
-//! lpm repro TARGET [--instructions N]       regenerate a paper table/figure
-//! lpm explore --workload X [--grain 0.3]    LPM-guided design-space search
-//! lpm online --workload X [--interval N]    online interval-driven adaptation
-//! lpm help                                  this text
+//! lpm-cli workloads                             list the SPEC-like suite
+//! lpm-cli run --workload gcc-like [...]         simulate + full LPM report
+//! lpm-cli repro TARGET [--instructions N]       regenerate a paper table/figure
+//! lpm-cli explore --workload X [--grain 0.3]    LPM-guided design-space search
+//! lpm-cli online --workload X [--interval N]    online interval-driven adaptation
+//! lpm-cli help                                  this text
 //! ```
 
 mod args;
@@ -32,7 +32,7 @@ fn main() {
         Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("try `lpm help`");
+            eprintln!("try `lpm-cli help`");
             1
         }
     };
@@ -180,7 +180,7 @@ fn accepted_flags(command: &str) -> Option<&'static [&'static [&'static str]]> {
 
 fn print_help() {
     println!(
-        "lpm — Layered Performance Matching simulator (reproduction of Liu & Sun, ICPP'15)\n\
+        "lpm-cli — Layered Performance Matching simulator (reproduction of Liu & Sun, ICPP'15)\n\
          \n\
          subcommands:\n\
          \x20 workloads                        list the SPEC CPU2006-like workload suite\n\
@@ -199,7 +199,8 @@ fn print_help() {
          \x20                                  list|events|metrics|ping|shutdown\n\
          \x20 journal ACTION FILE|DIR...       checkpoint journals: ls|verify|rm\n\
          \x20 bench   [--tag T] [--quick]      run the perf suite, write BENCH_<tag>.json\n\
-         \x20         [--out F] [--compare F]  (--compare prints advisory deltas vs F)\n\
+         \x20         [--out F] [--compare F]  (--compare gates the totals vs F;\n\
+         \x20                                  bench --help lists the flags)\n\
          \n\
          common flags:\n\
          \x20 --instructions N    measurement window (default 60000)\n\
@@ -291,14 +292,14 @@ fn lookup_workload(name: &str) -> Result<SpecWorkload, String> {
                 || w.name().split_once('.').is_some_and(|(_, n)| n == name)
                 || w.name().trim_end_matches("-like").ends_with(name)
         })
-        .ok_or_else(|| format!("unknown workload {name:?}; see `lpm workloads`"))
+        .ok_or_else(|| format!("unknown workload {name:?}; see `lpm-cli workloads`"))
 }
 
 fn workload_from(a: &Args) -> Result<SpecWorkload, String> {
     let name = a
         .options
         .get("workload")
-        .ok_or("missing --workload; see `lpm workloads`")?;
+        .ok_or("missing --workload; see `lpm-cli workloads`")?;
     lookup_workload(name)
 }
 
@@ -1132,6 +1133,16 @@ mod tests {
         }
         let e = run(&sv(&["bench", "--frob"])).unwrap_err();
         assert!(e.contains("--frob"), "{e}");
+        // Hints name the binary users actually have.
+        let e = run(&sv(&["run"])).unwrap_err();
+        assert!(e.contains("`lpm-cli workloads`"), "{e}");
+        let e = run(&sv(&["run", "--workload", "nope"])).unwrap_err();
+        assert!(e.contains("`lpm-cli workloads`"), "{e}");
+        let e = args::parse(&[]).unwrap_err();
+        assert!(e.contains("`lpm-cli help`"), "{e}");
+        // `bench --help` prints the bench flags instead of rejecting
+        // `--help` as unknown.
+        assert_eq!(run(&sv(&["bench", "--help"])), Ok(0));
         // `bench` parses its own flags: a trailing `--quick` is a switch
         // there, not a flag missing its value.
         let e = run(&sv(&["bench", "--tag", "bad tag", "--quick"])).unwrap_err();

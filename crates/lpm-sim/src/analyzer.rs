@@ -48,40 +48,15 @@ impl CacheAnalyzer {
         self.base_misses = cache.stats().misses;
     }
 
-    /// Sample one cycle. Must be called exactly once per simulated cycle,
-    /// after new accesses were presented and before `cache.step(now)`.
-    pub fn sample(&mut self, now: u64, cache: &mut Cache) {
-        let h = cache.hit_phase_count(now);
-        let m = cache.miss_phase_count();
-        if h > 0 {
-            self.counters.hit_cycles += 1;
-            self.counters.hit_access_cycles += h;
-        }
-        if m > 0 {
-            self.counters.miss_cycles += 1;
-            self.counters.miss_access_cycles += m;
-            if h == 0 {
-                self.counters.pure_miss_cycles += 1;
-                self.counters.pure_miss_access_cycles += m;
-                self.counters.pure_misses += cache.mark_all_pure();
-            }
-        }
-        if h > 0 || m > 0 {
-            self.counters.active_cycles += 1;
-        }
-        // Event counts mirror the cache's functional statistics,
-        // relative to the last reset.
-        self.counters.accesses = cache.stats().accesses - self.base_accesses;
-        self.counters.misses = cache.stats().misses - self.base_misses;
-    }
-
     /// Sample `n` consecutive cycles whose hit/miss phase populations
-    /// are provably constant (a coalesced idle span from the
-    /// event-driven fast path): exactly what `n` calls to
-    /// [`CacheAnalyzer::sample`] would accumulate. `mark_all_pure` is
-    /// idempotent, so one call stands in for `n` — only the first cycle
-    /// of a pure-miss span flags anything new.
-    pub fn sample_span(&mut self, now: u64, cache: &mut Cache, n: u64) {
+    /// are constant: one real step (`n = 1`) or a coalesced idle span
+    /// from the event-driven fast path. Every simulated cycle must be
+    /// covered exactly once, after new accesses were presented and
+    /// before `cache.step(now)`. `mark_all_pure` is idempotent, so one
+    /// call stands in for `n`: only the first cycle of a pure-miss span
+    /// flags anything new.
+    #[inline]
+    pub fn sample(&mut self, now: u64, cache: &mut Cache, n: u64) {
         let h = cache.hit_phase_count(now);
         let m = cache.miss_phase_count();
         if h > 0 {
@@ -100,6 +75,8 @@ impl CacheAnalyzer {
         if h > 0 || m > 0 {
             self.counters.active_cycles += n;
         }
+        // Event counts mirror the cache's functional statistics,
+        // relative to the last reset.
         self.counters.accesses = cache.stats().accesses - self.base_accesses;
         self.counters.misses = cache.stats().misses - self.base_misses;
     }
@@ -130,18 +107,10 @@ impl DramAnalyzer {
         self.base_accesses = dram.stats().accepted;
     }
 
-    /// Sample one cycle before `dram.step(now)`.
-    pub fn sample(&mut self, dram: &lpm_dram::Dram) {
-        if dram.outstanding() > 0 {
-            self.active_cycles += 1;
-        }
-        self.accesses = dram.stats().accepted - self.base_accesses;
-    }
-
-    /// Sample `n` consecutive cycles with provably constant occupancy (a
-    /// coalesced idle span): exactly what `n` calls to
-    /// [`DramAnalyzer::sample`] would accumulate.
-    pub fn sample_span(&mut self, dram: &lpm_dram::Dram, n: u64) {
+    /// Sample `n` consecutive cycles with constant occupancy (one real
+    /// step, or a coalesced idle span) before `dram.step(now)`.
+    #[inline]
+    pub fn sample(&mut self, dram: &lpm_dram::Dram, n: u64) {
         if dram.outstanding() > 0 {
             self.active_cycles += n;
         }
@@ -239,7 +208,7 @@ mod tests {
             // Sample before fills/step, per the analyzer contract —
             // but only for the 8 cycles of the Fig. 1 window.
             if rel < 8 {
-                analyzer.sample(now, &mut cache);
+                analyzer.sample(now, &mut cache, 1);
             }
             if rel == 5 {
                 cache.fill(192); // access 4's line
@@ -269,7 +238,7 @@ mod tests {
         let mut cache = fig1_cache();
         let mut analyzer = CacheAnalyzer::new(3);
         for now in 0..50 {
-            analyzer.sample(now, &mut cache);
+            analyzer.sample(now, &mut cache, 1);
             cache.step(now);
         }
         let c = analyzer.counters();
@@ -286,7 +255,7 @@ mod tests {
         let mut analyzer = CacheAnalyzer::new(3);
         cache.access(10, AccessId(1), 0, false);
         for now in 10..20 {
-            analyzer.sample(now, &mut cache);
+            analyzer.sample(now, &mut cache, 1);
             cache.step(now);
         }
         let c = analyzer.counters();
@@ -304,7 +273,7 @@ mod tests {
         let mut analyzer = CacheAnalyzer::new(3);
         cache.access(0, AccessId(1), 0, false);
         for now in 0..30 {
-            analyzer.sample(now, &mut cache);
+            analyzer.sample(now, &mut cache, 1);
             if now == 12 {
                 cache.fill(0);
             }
@@ -331,22 +300,22 @@ mod tests {
             // Cycles 0..=2: hit phase; resolve at step(2); cycles 3..=11:
             // pure miss phase (constant m=1); fill at 12.
             for now in 0..3u64 {
-                analyzer.sample(now, &mut cache);
+                analyzer.sample(now, &mut cache, 1);
                 cache.step(now);
             }
             if span {
-                analyzer.sample_span(3, &mut cache, 9);
+                analyzer.sample(3, &mut cache, 9);
                 for now in 3..12u64 {
                     cache.step(now);
                 }
             } else {
                 for now in 3..12u64 {
-                    analyzer.sample(now, &mut cache);
+                    analyzer.sample(now, &mut cache, 1);
                     cache.step(now);
                 }
             }
             cache.fill(0);
-            analyzer.sample(12, &mut cache);
+            analyzer.sample(12, &mut cache, 1);
             cache.step(12);
             analyzer.counters()
         };
@@ -370,13 +339,13 @@ mod tests {
                     is_write: false,
                 },
             );
-            an.sample(&dram);
+            an.sample(&dram, 1);
             dram.step(0);
             if span {
-                an.sample_span(&dram, 55);
+                an.sample(&dram, 55);
             } else {
                 for _ in 1..56u64 {
-                    an.sample(&dram);
+                    an.sample(&dram, 1);
                 }
             }
             for now in 1..56u64 {
@@ -400,7 +369,7 @@ mod tests {
             },
         );
         for now in 0..100 {
-            an.sample(&dram);
+            an.sample(&dram, 1);
             dram.step(now);
         }
         assert_eq!(an.accesses, 1);

@@ -599,26 +599,8 @@ impl Cmp {
             }
         }
 
-        // 4. Analyzers sample the cycle.
-        for (an, l1) in self.l1_analyzers.iter_mut().zip(self.l1s.iter_mut()) {
-            an.sample(now, l1);
-        }
-        for (an, c) in self.shared_analyzers.iter_mut().zip(self.shared.iter_mut()) {
-            an.sample(now, c);
-        }
-        self.dram_analyzer.sample(&self.dram);
-
-        // 4b. Telemetry occupancy sample, at the same point in the cycle
-        // the analyzers observe (after new accesses, before any step).
-        if R::ENABLED {
-            rec.cycle_sample(&CycleSample {
-                l1_mshrs: self.l1s.iter().map(|c| c.mshrs_in_use()).sum(),
-                shared_mshrs: self.shared.iter().map(|c| c.mshrs_in_use()).sum(),
-                rob: self.cores.iter().map(|c| c.rob_occupancy()).sum(),
-                dram_banks_busy: self.dram.banks_busy(now),
-                dram_banks_total: self.dram.banks_total(),
-            });
-        }
+        // 4. Analyzers and telemetry sample the cycle.
+        self.sample_layers(rec, 1);
 
         // 5. DRAM advances; reads fill the last shared level.
         let mut dram_out = std::mem::take(&mut self.dram_out);
@@ -712,49 +694,9 @@ impl Cmp {
         let retired_total: u64 = self.cores.iter().map(|c| c.stats().retired).sum();
 
         // Cycle attribution: occupancies against capacities at the end
-        // of the cycle, plus this cycle's retirement delta. A pure
-        // function of the deterministic simulation — byte-identical
-        // across worker counts — and compiled out unless the recorder
-        // opts in via `R::PROFILED`.
-        if R::PROFILED {
-            // The sample is built lazily by classification tier:
-            // [`CycleAttribution::observe`] reads nothing past
-            // `retired_delta` on a retire cycle, and nothing past the
-            // ROB fields on a rob-full stall (the first branch of its
-            // priority order) — together the overwhelming share of
-            // cycles. Only the rare remainder pays for the MSHR sums
-            // and the DRAM bank scan. Unread fields stay zero.
-            let retired_delta = retired_total.saturating_sub(self.last_retired_total);
-            if retired_delta > 0 {
-                rec.attr_sample(&AttrSample {
-                    retired_delta,
-                    ..AttrSample::default()
-                });
-            } else {
-                let rob = self.cores.iter().map(|c| c.rob_occupancy()).sum();
-                let rob_capacity = self.cores.iter().map(|c| c.rob_capacity()).sum();
-                if rob_capacity > 0 && rob >= rob_capacity {
-                    rec.attr_sample(&AttrSample {
-                        retired_delta: 0,
-                        rob,
-                        rob_capacity,
-                        ..AttrSample::default()
-                    });
-                } else {
-                    rec.attr_sample(&AttrSample {
-                        retired_delta: 0,
-                        rob,
-                        rob_capacity,
-                        l1_mshrs: self.l1s.iter().map(|c| c.mshrs_in_use()).sum(),
-                        l1_mshr_capacity: self.l1s.iter().map(|c| c.mshr_capacity()).sum(),
-                        shared_mshrs: self.shared.iter().map(|c| c.mshrs_in_use()).sum(),
-                        shared_mshr_capacity: self.shared.iter().map(|c| c.mshr_capacity()).sum(),
-                        dram_banks_busy: self.dram.banks_busy(now),
-                        dram_banks_total: self.dram.banks_total(),
-                    });
-                }
-            }
-        }
+        // of the cycle, plus this cycle's retirement delta.
+        let retired_delta = retired_total.saturating_sub(self.last_retired_total);
+        self.attribute(rec, retired_delta, 1);
 
         if retired_total > self.last_retired_total {
             self.last_retired_total = retired_total;
@@ -936,21 +878,38 @@ impl Cmp {
     fn apply_idle_span<R: Recorder>(&mut self, rec: &mut R, k: u64) {
         self.skipped_spans += 1;
         self.skipped_cycles += k;
-        let now = self.now;
         for core in &mut self.cores {
             if !core.finished() {
                 core.skip_idle_span(k);
             }
         }
+        self.sample_layers(rec, k);
+        self.dram.skip_idle_span(k);
+        for c in self.l1s.iter_mut().chain(self.shared.iter_mut()) {
+            // k failing retries of any stalled deferred misses.
+            c.skip_idle_span(k);
+        }
+        self.attribute(rec, 0, k);
+        self.now += k;
+    }
+
+    /// Sample `k` cycles at the point in the cycle every analyzer
+    /// observes (after new accesses, before any component steps): the
+    /// HCD/MCD and DRAM analyzers, then the telemetry occupancy sample.
+    /// A real step is `k = 1`; an idle span passes its length. Inlined
+    /// so the real step's constant folds into the per-cycle path.
+    #[inline(always)]
+    fn sample_layers<R: Recorder>(&mut self, rec: &mut R, k: u64) {
+        let now = self.now;
         for (an, l1) in self.l1_analyzers.iter_mut().zip(self.l1s.iter_mut()) {
-            an.sample_span(now, l1, k);
+            an.sample(now, l1, k);
         }
         for (an, c) in self.shared_analyzers.iter_mut().zip(self.shared.iter_mut()) {
-            an.sample_span(now, c, k);
+            an.sample(now, c, k);
         }
-        self.dram_analyzer.sample_span(&self.dram, k);
+        self.dram_analyzer.sample(&self.dram, k);
         if R::ENABLED {
-            rec.cycle_sample_n(
+            rec.cycle_sample(
                 &CycleSample {
                     l1_mshrs: self.l1s.iter().map(|c| c.mshrs_in_use()).sum(),
                     shared_mshrs: self.shared.iter().map(|c| c.mshrs_in_use()).sum(),
@@ -961,45 +920,56 @@ impl Cmp {
                 k,
             );
         }
-        self.dram.skip_idle_span(k);
-        for c in self.l1s.iter_mut().chain(self.shared.iter_mut()) {
-            // k failing retries of any stalled deferred misses.
-            c.skip_idle_span(k);
+    }
+
+    /// Attribute the `k` cycles starting at `now`, each retiring
+    /// `retired_delta` instructions (zero on every idle span), from
+    /// occupancies against capacities after all components stepped. A
+    /// pure function of the deterministic simulation — byte-identical
+    /// across worker counts and stepping modes — and compiled out unless
+    /// the recorder opts in via `R::PROFILED`. Inlined for the same
+    /// reason as [`Cmp::sample_layers`].
+    #[inline(always)]
+    fn attribute<R: Recorder>(&self, rec: &mut R, retired_delta: u64, k: u64) {
+        if !R::PROFILED {
+            return;
         }
-        if R::PROFILED {
-            // Same lazily-tiered sample construction as the per-cycle
-            // path in `try_step_with` (a skipped cycle never retires),
-            // so fast and reference emit byte-identical sample streams.
+        // The sample is built lazily by classification tier:
+        // [`CycleAttribution::observe`] reads nothing past
+        // `retired_delta` on a retire cycle, and nothing past the ROB
+        // fields on a rob-full stall (the first branch of its priority
+        // order) — together the overwhelming share of cycles. Only the
+        // rare remainder pays for the MSHR sums and the DRAM bank scan.
+        // Unread fields stay zero.
+        let s = if retired_delta > 0 {
+            AttrSample {
+                retired_delta,
+                ..AttrSample::default()
+            }
+        } else {
             let rob = self.cores.iter().map(|c| c.rob_occupancy()).sum();
             let rob_capacity = self.cores.iter().map(|c| c.rob_capacity()).sum();
             if rob_capacity > 0 && rob >= rob_capacity {
-                rec.attr_sample_n(
-                    &AttrSample {
-                        retired_delta: 0,
-                        rob,
-                        rob_capacity,
-                        ..AttrSample::default()
-                    },
-                    k,
-                );
+                AttrSample {
+                    rob,
+                    rob_capacity,
+                    ..AttrSample::default()
+                }
             } else {
-                rec.attr_sample_n(
-                    &AttrSample {
-                        retired_delta: 0,
-                        rob,
-                        rob_capacity,
-                        l1_mshrs: self.l1s.iter().map(|c| c.mshrs_in_use()).sum(),
-                        l1_mshr_capacity: self.l1s.iter().map(|c| c.mshr_capacity()).sum(),
-                        shared_mshrs: self.shared.iter().map(|c| c.mshrs_in_use()).sum(),
-                        shared_mshr_capacity: self.shared.iter().map(|c| c.mshr_capacity()).sum(),
-                        dram_banks_busy: self.dram.banks_busy(now),
-                        dram_banks_total: self.dram.banks_total(),
-                    },
-                    k,
-                );
+                AttrSample {
+                    retired_delta: 0,
+                    rob,
+                    rob_capacity,
+                    l1_mshrs: self.l1s.iter().map(|c| c.mshrs_in_use()).sum(),
+                    l1_mshr_capacity: self.l1s.iter().map(|c| c.mshr_capacity()).sum(),
+                    shared_mshrs: self.shared.iter().map(|c| c.mshrs_in_use()).sum(),
+                    shared_mshr_capacity: self.shared.iter().map(|c| c.mshr_capacity()).sum(),
+                    dram_banks_busy: self.dram.banks_busy(self.now),
+                    dram_banks_total: self.dram.banks_total(),
+                }
             }
-        }
-        self.now += k;
+        };
+        rec.attr_sample(&s, k);
     }
 
     /// Run until every core finishes or `max_cycles` elapse, then drain

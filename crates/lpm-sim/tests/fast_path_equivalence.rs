@@ -5,9 +5,8 @@
 //! cycle attribution and fault statistics to the strict per-cycle
 //! reference loop (`set_reference_stepping(true)`).
 //!
-//! The capture recorder deliberately does *not* override the span
-//! methods `cycle_sample_n`/`attr_sample_n`: the trait defaults replay a
-//! coalesced span per-cycle, so the fast side's streams are compared
+//! The capture recorder expands every `n`-cycle sample into `n`
+//! per-cycle entries itself, so the fast side's streams are compared
 //! against the reference at single-cycle granularity — a span whose
 //! length, placement or sample content is wrong cannot cancel out.
 
@@ -35,18 +34,23 @@ impl Recorder for CaptureRecorder {
         self.events.push(ev);
     }
 
-    fn cycle_sample(&mut self, s: &CycleSample) {
-        self.cycle_samples.push((
+    fn cycle_sample(&mut self, s: &CycleSample, n: u64) {
+        let entry = (
             s.l1_mshrs,
             s.shared_mshrs,
             s.rob,
             s.dram_banks_busy,
             s.dram_banks_total,
-        ));
+        );
+        for _ in 0..n {
+            self.cycle_samples.push(entry);
+        }
     }
 
-    fn attr_sample(&mut self, s: &AttrSample) {
-        self.attr_samples.push(*s);
+    fn attr_sample(&mut self, s: &AttrSample, n: u64) {
+        for _ in 0..n {
+            self.attr_samples.push(*s);
+        }
     }
 
     fn snapshot(&mut self, _snap: MetricsSnapshot) {}

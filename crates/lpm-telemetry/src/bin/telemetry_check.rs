@@ -17,8 +17,8 @@
 //! empty.
 //!
 //! Two further shapes ride on the same dispatch: a bench trajectory
-//! point (`{"type":"bench",...}` — what `lpm-bench`'s `bench` binary
-//! writes to `BENCH_<tag>.json`) is schema-validated, and a bare event
+//! point (`{"type":"bench",...}` — what `lpm-cli bench` writes to
+//! `BENCH_<tag>.json`) is schema-validated, and a bare event
 //! stream (event records with no summary — what `lpm-serve` appends to
 //! `events.jsonl`) is parsed event by event.
 //!

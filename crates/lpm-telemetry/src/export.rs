@@ -551,9 +551,9 @@ mod tests {
         c.pure_miss_access_cycles = 2;
         c.active_cycles = 6;
         let mut hist = Histogram::default();
-        hist.record(2);
-        hist.record(2);
-        hist.record(5);
+        hist.record(2, 1);
+        hist.record(2, 1);
+        hist.record(5, 1);
         let snap = MetricsSnapshot {
             interval: 0,
             cycle: 10_000,

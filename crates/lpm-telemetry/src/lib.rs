@@ -82,36 +82,16 @@ pub trait Recorder {
     /// Append a typed event to the log.
     fn event(&mut self, ev: Event);
 
-    /// Observe one cycle's occupancy sample.
-    fn cycle_sample(&mut self, s: &CycleSample);
+    /// Observe `n` consecutive cycles sharing one occupancy sample: a
+    /// real step is a span of one, a coalesced idle span from the
+    /// event-driven fast path a span of `n`.
+    fn cycle_sample(&mut self, s: &CycleSample, n: u64);
 
-    /// Observe `n` consecutive cycles sharing one occupancy sample — a
-    /// coalesced idle span from the event-driven fast path. The default
-    /// replays the per-cycle method `n` times so every third-party
-    /// recorder stays byte-identical without opting in; the built-in
-    /// recorders override with O(1) weighted folds.
+    /// Observe `n` consecutive cycles sharing one attribution sample
+    /// (occupancies against capacities plus the per-cycle retirement
+    /// delta; zero on every idle span). Default: discard.
     #[inline]
-    fn cycle_sample_n(&mut self, s: &CycleSample, n: u64) {
-        for _ in 0..n {
-            self.cycle_sample(s);
-        }
-    }
-
-    /// Observe one cycle's attribution sample (occupancies against
-    /// capacities plus the retirement delta). Default: discard.
-    #[inline]
-    fn attr_sample(&mut self, _s: &AttrSample) {}
-
-    /// Observe `n` consecutive cycles sharing one attribution sample (a
-    /// coalesced idle span; `retired_delta` is zero by construction).
-    /// Default replays per-cycle for byte-identity; [`Profiled`]
-    /// overrides with a classify-once weighted fold.
-    #[inline]
-    fn attr_sample_n(&mut self, s: &AttrSample, n: u64) {
-        for _ in 0..n {
-            self.attr_sample(s);
-        }
-    }
+    fn attr_sample(&mut self, _s: &AttrSample, _n: u64) {}
 
     /// Drain the occupancy accumulator at an interval boundary.
     fn take_interval(&mut self) -> CycleAccum {
@@ -134,13 +114,7 @@ impl Recorder for NullRecorder {
     fn event(&mut self, _ev: Event) {}
 
     #[inline(always)]
-    fn cycle_sample(&mut self, _s: &CycleSample) {}
-
-    #[inline(always)]
-    fn cycle_sample_n(&mut self, _s: &CycleSample, _n: u64) {}
-
-    #[inline(always)]
-    fn attr_sample_n(&mut self, _s: &AttrSample, _n: u64) {}
+    fn cycle_sample(&mut self, _s: &CycleSample, _n: u64) {}
 
     #[inline(always)]
     fn snapshot(&mut self, _snap: MetricsSnapshot) {}
@@ -225,12 +199,8 @@ impl Recorder for RingRecorder {
         self.events.push_back(ev);
     }
 
-    fn cycle_sample(&mut self, s: &CycleSample) {
-        self.accum.record(s);
-    }
-
-    fn cycle_sample_n(&mut self, s: &CycleSample, n: u64) {
-        self.accum.record_n(s, n);
+    fn cycle_sample(&mut self, s: &CycleSample, n: u64) {
+        self.accum.record(s, n);
     }
 
     fn take_interval(&mut self) -> CycleAccum {
@@ -255,7 +225,7 @@ mod tests {
         const { assert!(!NullRecorder::ENABLED) };
         let mut r = NullRecorder;
         r.event(ev(1));
-        r.cycle_sample(&CycleSample::default());
+        r.cycle_sample(&CycleSample::default(), 1);
         assert_eq!(r.take_interval().cycles, 0);
     }
 
@@ -281,13 +251,16 @@ mod tests {
     #[test]
     fn take_interval_resets_accumulator() {
         let mut r = RingRecorder::default();
-        r.cycle_sample(&CycleSample {
-            l1_mshrs: 1,
-            shared_mshrs: 0,
-            rob: 5,
-            dram_banks_busy: 2,
-            dram_banks_total: 4,
-        });
+        r.cycle_sample(
+            &CycleSample {
+                l1_mshrs: 1,
+                shared_mshrs: 0,
+                rob: 5,
+                dram_banks_busy: 2,
+                dram_banks_total: 4,
+            },
+            1,
+        );
         let acc = r.take_interval();
         assert_eq!(acc.cycles, 1);
         assert!((acc.bank_util() - 0.5).abs() < 1e-12);
@@ -305,10 +278,10 @@ mod tests {
         };
         let mut per_cycle = RingRecorder::default();
         for _ in 0..1000 {
-            per_cycle.cycle_sample(&s);
+            per_cycle.cycle_sample(&s, 1);
         }
         let mut span = RingRecorder::default();
-        span.cycle_sample_n(&s, 1000);
+        span.cycle_sample(&s, 1000);
         let a = per_cycle.take_interval();
         let b = span.take_interval();
         assert_eq!(a.cycles, b.cycles);

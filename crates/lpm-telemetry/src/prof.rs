@@ -28,10 +28,11 @@ use crate::{count_u64, Event, Recorder};
 // Deterministic face: simulated-cycle attribution.
 // ---------------------------------------------------------------------
 
-/// One cycle's occupancy-against-capacity observation, emitted by
-/// `Cmp::try_step_with` under `R::PROFILED` after all components have
-/// stepped. Unlike [`CycleSample`] (occupancy only), this carries the
-/// capacities and the retirement delta needed to *attribute* the cycle.
+/// The occupancy-against-capacity observation shared by every cycle of
+/// a real step or an idle span, emitted by the simulator under
+/// `R::PROFILED` after all components have stepped. Unlike
+/// [`CycleSample`] (occupancy only), this carries the capacities and
+/// the per-cycle retirement delta needed to *attribute* the cycles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AttrSample {
     /// Instructions retired across all cores this cycle.
@@ -89,38 +90,10 @@ pub struct CycleAttribution {
 }
 
 impl CycleAttribution {
-    /// Fold one cycle's observation in.
-    pub fn observe(&mut self, s: &AttrSample) {
-        self.cycles += 1;
-        self.retired += s.retired_delta;
-        if s.retired_delta > 0 {
-            self.retire_cycles += 1;
-            return;
-        }
-        self.stall_cycles += 1;
-        if s.rob_capacity > 0 && s.rob >= s.rob_capacity {
-            self.stall_rob_full += 1;
-        } else if s.l1_mshr_capacity > 0 && s.l1_mshrs >= s.l1_mshr_capacity {
-            self.stall_l1_mshr_full += 1;
-        } else if s.shared_mshr_capacity > 0 && s.shared_mshrs >= s.shared_mshr_capacity {
-            self.stall_shared_mshr_full += 1;
-        } else if s.dram_banks_total > 0 && s.dram_banks_busy >= s.dram_banks_total {
-            self.stall_dram_saturated += 1;
-        } else if s.dram_banks_busy > 0 {
-            self.stall_dram_busy += 1;
-        } else {
-            self.stall_other += 1;
-        }
-    }
-
-    /// Fold `n` cycles sharing one observation in — the span-weighted
-    /// form for coalesced idle spans (classification runs once, the
-    /// chosen counter advances by `n`). Equivalent to calling
-    /// [`CycleAttribution::observe`] `n` times with the same sample.
-    pub fn observe_n(&mut self, s: &AttrSample, n: u64) {
-        if n == 0 {
-            return;
-        }
+    /// Fold in `n` consecutive cycles sharing one observation: a real
+    /// step is `n = 1`, a coalesced idle span classifies once and
+    /// advances the chosen counter by its length.
+    pub fn observe(&mut self, s: &AttrSample, n: u64) {
         self.cycles += n;
         self.retired += s.retired_delta * n;
         if s.retired_delta > 0 {
@@ -291,13 +264,8 @@ impl<R: Recorder> Recorder for Profiled<R> {
     }
 
     #[inline]
-    fn cycle_sample(&mut self, s: &CycleSample) {
-        self.inner.cycle_sample(s);
-    }
-
-    #[inline]
-    fn cycle_sample_n(&mut self, s: &CycleSample, n: u64) {
-        self.inner.cycle_sample_n(s, n);
+    fn cycle_sample(&mut self, s: &CycleSample, n: u64) {
+        self.inner.cycle_sample(s, n);
     }
 
     #[inline]
@@ -311,13 +279,8 @@ impl<R: Recorder> Recorder for Profiled<R> {
     }
 
     #[inline]
-    fn attr_sample(&mut self, s: &AttrSample) {
-        self.attr.observe(s);
-    }
-
-    #[inline]
-    fn attr_sample_n(&mut self, s: &AttrSample, n: u64) {
-        self.attr.observe_n(s, n);
+    fn attr_sample(&mut self, s: &AttrSample, n: u64) {
+        self.attr.observe(s, n);
     }
 }
 
@@ -504,15 +467,18 @@ mod tests {
     #[test]
     fn attribution_classifies_by_priority() {
         let mut a = CycleAttribution::default();
-        a.observe(&sample(2, 4, 0)); // retirement
-        a.observe(&sample(0, 8, 4)); // ROB full wins over DRAM
-        a.observe(&AttrSample {
-            l1_mshrs: 4,
-            ..sample(0, 0, 1)
-        }); // L1 MSHRs full wins over busy DRAM
-        a.observe(&sample(0, 0, 4)); // DRAM saturated
-        a.observe(&sample(0, 0, 1)); // DRAM merely busy
-        a.observe(&sample(0, 0, 0)); // nothing saturated
+        a.observe(&sample(2, 4, 0), 1); // retirement
+        a.observe(&sample(0, 8, 4), 1); // ROB full wins over DRAM
+        a.observe(
+            &AttrSample {
+                l1_mshrs: 4,
+                ..sample(0, 0, 1)
+            },
+            1,
+        ); // L1 MSHRs full wins over busy DRAM
+        a.observe(&sample(0, 0, 4), 1); // DRAM saturated
+        a.observe(&sample(0, 0, 1), 1); // DRAM merely busy
+        a.observe(&sample(0, 0, 0), 1); // nothing saturated
         assert_eq!(a.cycles, 6);
         assert_eq!(a.retired, 2);
         assert_eq!(a.retire_cycles, 1);
@@ -538,11 +504,11 @@ mod tests {
         for s in &samples {
             let mut per_cycle = CycleAttribution::default();
             for _ in 0..1000 {
-                per_cycle.observe(s);
+                per_cycle.observe(s, 1);
             }
             let mut span = CycleAttribution::default();
-            span.observe_n(s, 1000);
-            span.observe_n(s, 0); // zero span is a no-op
+            span.observe(s, 1000);
+            span.observe(s, 0); // zero span is a no-op
             assert_eq!(span, per_cycle, "span fold diverged for {s:?}");
         }
     }
@@ -550,8 +516,8 @@ mod tests {
     #[test]
     fn attribution_round_trips_and_merges() {
         let mut a = CycleAttribution::default();
-        a.observe(&sample(1, 0, 0));
-        a.observe(&sample(0, 8, 0));
+        a.observe(&sample(1, 0, 0), 1);
+        a.observe(&sample(0, 8, 0), 1);
         let json = a.to_json().to_json();
         let back = CycleAttribution::from_json(&Value::parse(&json).unwrap()).unwrap();
         assert_eq!(back, a);
@@ -570,7 +536,7 @@ mod tests {
         const { assert!(Profiled::<RingRecorder>::ENABLED) };
         const { assert!(!RingRecorder::PROFILED) };
         let mut p = Profiled::new(RingRecorder::new(8));
-        p.attr_sample(&sample(1, 0, 0));
+        p.attr_sample(&sample(1, 0, 0), 1);
         p.event(Event::Rollback {
             cycle: 9,
             streak: 2,
@@ -584,9 +550,9 @@ mod tests {
     fn text_rendering_is_stable() {
         let mut a = CycleAttribution::default();
         for _ in 0..3 {
-            a.observe(&sample(1, 0, 0));
+            a.observe(&sample(1, 0, 0), 1);
         }
-        a.observe(&sample(0, 0, 4));
+        a.observe(&sample(0, 0, 4), 1);
         let t = a.to_text();
         assert_eq!(t, a.to_text());
         assert!(t.contains("cycles 4"));

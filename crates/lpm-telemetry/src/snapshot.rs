@@ -18,16 +18,11 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Record one observation.
-    pub fn record(&mut self, value: usize) {
-        self.record_n(value, 1);
-    }
-
-    /// Record `n` observations of the same value in one shot — the
-    /// span-weighted form used when the simulator coalesces a provably
-    /// idle span of `n` cycles whose occupancy is constant. Equivalent
-    /// to calling [`Histogram::record`] `n` times.
-    pub fn record_n(&mut self, value: usize, n: u64) {
+    /// Record `n` observations of the same value in one shot: one per
+    /// cycle of a real step (`n = 1`) or of a coalesced idle span whose
+    /// occupancy is constant. `n = 0` records nothing and leaves the
+    /// bucket vector unresized.
+    pub fn record(&mut self, value: usize, n: u64) {
         if n == 0 {
             return;
         }
@@ -280,8 +275,8 @@ impl LayerMetrics {
     }
 }
 
-/// One per-cycle occupancy observation, taken by the simulator while a
-/// recorder is enabled.
+/// The occupancy observation shared by every cycle of a real step or an
+/// idle span, taken by the simulator while a recorder is enabled.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CycleSample {
     /// MSHRs in use across all L1 caches.
@@ -314,19 +309,13 @@ pub struct CycleAccum {
 }
 
 impl CycleAccum {
-    /// Fold one cycle's observation in.
-    pub fn record(&mut self, s: &CycleSample) {
-        self.record_n(s, 1);
-    }
-
-    /// Fold in `n` cycles sharing one observation (a coalesced idle
-    /// span with constant occupancy). Equivalent to calling
-    /// [`CycleAccum::record`] `n` times with the same sample.
-    pub fn record_n(&mut self, s: &CycleSample, n: u64) {
+    /// Fold in `n` cycles sharing one observation (a real step, or a
+    /// coalesced idle span with constant occupancy).
+    pub fn record(&mut self, s: &CycleSample, n: u64) {
         self.cycles += n;
-        self.l1_mshr_hist.record_n(s.l1_mshrs, n);
-        self.shared_mshr_hist.record_n(s.shared_mshrs, n);
-        self.rob_hist.record_n(s.rob, n);
+        self.l1_mshr_hist.record(s.l1_mshrs, n);
+        self.shared_mshr_hist.record(s.shared_mshrs, n);
+        self.rob_hist.record(s.rob, n);
         self.bank_busy_cycles += crate::count_u64(s.dram_banks_busy) * n;
         self.bank_cycles += crate::count_u64(s.dram_banks_total) * n;
     }
@@ -486,7 +475,7 @@ mod tests {
     fn histogram_records_and_summarizes() {
         let mut h = Histogram::default();
         for v in [0, 1, 1, 4, 4, 4] {
-            h.record(v);
+            h.record(v, 1);
         }
         assert_eq!(h.total(), 6);
         assert_eq!(h.max(), 4);
@@ -497,7 +486,7 @@ mod tests {
     #[test]
     fn histogram_overflow_is_bounded() {
         let mut h = Histogram::default();
-        h.record(HIST_MAX + 1000);
+        h.record(HIST_MAX + 1000, 1);
         assert_eq!(h.total(), 1);
         assert_eq!(h.max(), HIST_MAX);
         assert!(h.buckets().is_empty());
@@ -507,7 +496,7 @@ mod tests {
     fn histogram_compact_round_trips() {
         let mut h = Histogram::default();
         for v in [0, 2, 2, 7, HIST_MAX + 5] {
-            h.record(v);
+            h.record(v, 1);
         }
         let cell = h.to_compact();
         assert_eq!(Histogram::from_compact(&cell).unwrap(), h);
@@ -518,8 +507,8 @@ mod tests {
     #[test]
     fn histogram_json_round_trips() {
         let mut h = Histogram::default();
-        h.record(3);
-        h.record(HIST_MAX + 1);
+        h.record(3, 1);
+        h.record(HIST_MAX + 1, 1);
         let v = h.to_json();
         assert_eq!(Histogram::from_json(&v).unwrap(), h);
     }
@@ -527,20 +516,15 @@ mod tests {
     #[test]
     fn cycle_accum_builds_histograms() {
         let mut acc = CycleAccum::default();
-        acc.record(&CycleSample {
-            l1_mshrs: 2,
-            shared_mshrs: 1,
-            rob: 10,
-            dram_banks_busy: 3,
+        let s = |l1_mshrs, shared_mshrs, rob, dram_banks_busy| CycleSample {
+            l1_mshrs,
+            shared_mshrs,
+            rob,
+            dram_banks_busy,
             dram_banks_total: 8,
-        });
-        acc.record(&CycleSample {
-            l1_mshrs: 0,
-            shared_mshrs: 0,
-            rob: 12,
-            dram_banks_busy: 5,
-            dram_banks_total: 8,
-        });
+        };
+        acc.record(&s(2, 1, 10, 3), 1);
+        acc.record(&s(0, 0, 12, 5), 1);
         assert_eq!(acc.cycles, 2);
         assert!((acc.bank_util() - 0.5).abs() < 1e-12);
         assert_eq!(acc.rob_hist.total(), 2);
@@ -563,10 +547,10 @@ mod tests {
         };
         let mut per_cycle = CycleAccum::default();
         for _ in 0..1000 {
-            per_cycle.record(&s);
+            per_cycle.record(&s, 1);
         }
         let mut span = CycleAccum::default();
-        span.record_n(&s, 1000);
+        span.record(&s, 1000);
         assert_eq!(span.cycles, per_cycle.cycles);
         assert_eq!(span.l1_mshr_hist, per_cycle.l1_mshr_hist);
         assert_eq!(span.shared_mshr_hist, per_cycle.shared_mshr_hist);
@@ -581,17 +565,17 @@ mod tests {
     }
 
     #[test]
-    fn histogram_record_n_matches_repeated_record() {
+    fn histogram_weighted_record_matches_repeated_record() {
         let mut many = Histogram::default();
         for _ in 0..1000 {
-            many.record(5);
+            many.record(5, 1);
         }
-        many.record(HIST_MAX + 3);
-        many.record(HIST_MAX + 3);
+        many.record(HIST_MAX + 3, 1);
+        many.record(HIST_MAX + 3, 1);
         let mut once = Histogram::default();
-        once.record_n(5, 1000);
-        once.record_n(HIST_MAX + 3, 2);
-        once.record_n(9, 0); // zero-length span is a no-op
+        once.record(5, 1000);
+        once.record(HIST_MAX + 3, 2);
+        once.record(9, 0); // zero-length span is a no-op
         assert_eq!(once, many);
         assert_eq!(once.total(), 1002);
     }
@@ -609,8 +593,8 @@ mod tests {
         c.pure_miss_access_cycles = 2;
         c.active_cycles = 6;
         let mut hist = Histogram::default();
-        hist.record(1);
-        hist.record(3);
+        hist.record(1, 1);
+        hist.record(3, 1);
         MetricsSnapshot {
             interval: 7,
             cycle: 80_000,

@@ -45,7 +45,7 @@ fn synth_layer(name: &str, s: &mut Stream) -> LayerMetrics {
 fn synth_hist(s: &mut Stream) -> Histogram {
     let mut h = Histogram::default();
     for _ in 0..(s.next() % 40) {
-        h.record((s.next() % 600) as usize); // some overflow the 512 cap
+        h.record((s.next() % 600) as usize, 1); // some overflow the 512 cap
     }
     h
 }

@@ -65,7 +65,7 @@ fn main() {
             _ => {}
         }
         if now - t0 < 8 {
-            analyzer.sample(now, &mut cache);
+            analyzer.sample(now, &mut cache, 1);
         }
         if now - t0 == 5 {
             cache.fill(192); // access 4's line: masked by access 5's hits

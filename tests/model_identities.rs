@@ -158,7 +158,7 @@ fn live_analyzer_identity_fuzz() {
                 id += 1;
                 cache.access(now, AccessId(id), addr, next() % 4 == 0);
             }
-            analyzer.sample(now, &mut cache);
+            analyzer.sample(now, &mut cache, 1);
             let mut i = 0;
             while i < pending_fills.len() {
                 if pending_fills[i].0 <= now {
