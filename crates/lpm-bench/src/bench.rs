@@ -5,9 +5,9 @@
 //! cycle-level simulator's step loop, the lint gate, the parallel sweep
 //! engine and its checkpoint journal. It emits one `BENCH_<tag>.json` record:
 //! a single JSON line built with the in-repo [`lpm_telemetry::Value`]
-//! codec, validated by `telemetry_check --bench-json`, and committed at
-//! the repo root per PR so the performance trajectory of the codebase is
-//! diffable in review.
+//! codec, read back only by [`parse_snapshot`] (which `telemetry_check`
+//! validates records with), and committed at the repo root per PR so the
+//! performance trajectory of the codebase is diffable in review.
 //!
 //! Wall-clock numbers are *side-channel only*: they live in this file
 //! and on stderr, never in deterministic exports. All timing goes
@@ -99,8 +99,8 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// The single-line JSON record (`telemetry_check --bench-json`
-    /// validates exactly this shape).
+    /// The single-line JSON record ([`parse_snapshot`] reads exactly
+    /// this shape).
     pub fn to_json(&self) -> Value {
         let cpus = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -164,35 +164,51 @@ pub struct BenchSnapshot {
     pub cycles_per_sec: f64,
 }
 
-/// Strictly parse a `BENCH_*.json` record into its comparable subset.
+/// Strictly parse a `BENCH_*.json` record into its comparable subset —
+/// the one reader of the format (`telemetry_check` validates records
+/// with it). Every field the schema requires must be present, including
+/// those the comparison does not read: `schema_version`, the host's `os`
+/// and `arch`, and a non-empty suite whose entries each carry `wall_ns`.
 pub fn parse_snapshot(text: &str) -> Result<BenchSnapshot, String> {
     let v = Value::parse(text.trim()).map_err(|e| format!("bench json: {e}"))?;
     if v.get("type").and_then(Value::as_str) != Some("bench") {
         return Err("bench json: type is not \"bench\"".to_string());
+    }
+    if v.get("schema_version").and_then(Value::as_u64).is_none() {
+        return Err("bench json: missing schema_version".to_string());
     }
     let tag = v
         .get("tag")
         .and_then(Value::as_str)
         .ok_or("bench json: missing tag")?
         .to_string();
+    let host = v.get("host").ok_or("bench json: missing host")?;
+    for key in ["os", "arch"] {
+        if host.get(key).and_then(Value::as_str).is_none() {
+            return Err(format!("bench json: host has no {key}"));
+        }
+    }
     let suite = v
         .get("suite")
         .and_then(Value::as_arr)
         .ok_or("bench json: missing suite array")?;
+    if suite.is_empty() {
+        return Err("bench json: suite is empty".to_string());
+    }
     let mut entries = Vec::new();
     for (i, e) in suite.iter().enumerate() {
-        let name = e
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("bench json: suite[{i}] has no name"))?;
-        let metric = e
-            .get("metric")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("bench json: suite[{i}] has no metric"))?;
-        let value = e
-            .get("value")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("bench json: suite[{i}] has no value"))?;
+        let string = |key: &str| {
+            e.get(key)
+                .and_then(Value::as_str)
+                .ok_or_else(|| format!("bench json: suite[{i}] has no {key}"))
+        };
+        let num = |key: &str| {
+            e.get(key)
+                .and_then(Value::as_f64)
+                .ok_or_else(|| format!("bench json: suite[{i}] has no {key}"))
+        };
+        let (name, metric, value) = (string("name")?, string("metric")?, num("value")?);
+        num("wall_ns")?;
         entries.push((name.to_string(), metric.to_string(), value));
     }
     let totals = v.get("totals").ok_or("bench json: missing totals")?;
@@ -722,11 +738,51 @@ mod tests {
     fn snapshot_parser_rejects_malformed_records() {
         assert!(parse_snapshot("{").is_err());
         assert!(parse_snapshot(r#"{"type":"sweep"}"#).is_err());
-        let no_totals =
-            r#"{"type":"bench","tag":"t","suite":[{"name":"a","metric":"m","value":1.0}]}"#;
-        assert!(parse_snapshot(no_totals).unwrap_err().contains("totals"));
-        let bad_entry = r#"{"type":"bench","tag":"t","suite":[{"metric":"m"}],"totals":{}}"#;
-        assert!(parse_snapshot(bad_entry).unwrap_err().contains("name"));
+        // Each case is a whole record but for the defect it names.
+        let head = r#"{"type":"bench","schema_version":1,"tag":"t","host":{"os":"linux","arch":"x86_64"},"#;
+        let entry = r#"{"name":"a","metric":"m","value":1.0,"wall_ns":5}"#;
+        let totals = r#""totals":{"points_per_sec":1.0,"cycles_per_sec":1.0}"#;
+        let record = |suite: &str, tail: &str| format!("{head}\"suite\":[{suite}]{tail}}}");
+        assert!(parse_snapshot(&record(entry, &format!(",{totals}"))).is_ok());
+        let no_totals = record(entry, "");
+        assert!(parse_snapshot(&no_totals).unwrap_err().contains("totals"));
+        let bad_entry = record(r#"{"metric":"m"}"#, r#","totals":{}"#);
+        assert!(parse_snapshot(&bad_entry).unwrap_err().contains("name"));
+        let tail = format!(",{totals}");
+        for (text, field) in [
+            (
+                record(entry, &tail).replace(r#""schema_version":1,"#, ""),
+                "schema_version",
+            ),
+            (
+                record(entry, &tail).replace(r#""arch":"x86_64""#, r#""cpus":2"#),
+                "host has no arch",
+            ),
+            (record("", &tail), "suite is empty"),
+            (
+                record(&entry.replace(r#","wall_ns":5"#, ""), &tail),
+                "wall_ns",
+            ),
+        ] {
+            let err = parse_snapshot(&text).unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
+    }
+
+    #[test]
+    fn committed_records_parse() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut parsed = 0;
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_pr") && name.ends_with(".json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                parse_snapshot(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+                parsed += 1;
+            }
+        }
+        assert!(parsed > 0, "no committed BENCH_pr*.json under {root}");
     }
 
     #[test]

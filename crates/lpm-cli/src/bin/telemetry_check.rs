@@ -6,21 +6,22 @@
 //! artifact produced by a short faulted `lpm-cli online` run.
 //!
 //! Three JSONL shapes are accepted: a single-run log (snapshots,
-//! events, one summary — what `lpm-cli online` writes), a sweep export (repeated `{"type":"point",...}` headers,
-//! each followed by that point's complete single-run log — what
-//! `lpm-cli sweep` writes), and a checkpoint journal
-//! (a `{"type":"checkpoint-header",...}` line followed by
-//! `checkpoint-row` records — what `lpm-cli sweep --checkpoint`
-//! writes). A sweep is validated per segment, so a malformed record is
-//! reported with its point label; a point header whose `outcome` is
-//! not `"ok"` legitimately has no telemetry segment and is accepted
-//! empty.
+//! events, one summary — what `lpm-cli online` writes), a sweep export
+//! (repeated `{"type":"point",...}` headers, each followed by that
+//! point's complete single-run log — what `lpm-cli sweep` writes), and a
+//! checkpoint journal (what `lpm-cli sweep --checkpoint` writes). A
+//! sweep is validated per segment, so a malformed record is reported
+//! with its point label; a point header whose `outcome` is not `"ok"`
+//! legitimately has no telemetry segment and is accepted empty.
 //!
 //! Two further shapes ride on the same dispatch: a bench trajectory
-//! point (`{"type":"bench",...}` — what `lpm-cli bench` writes to
-//! `BENCH_<tag>.json`) is schema-validated, and a bare event
-//! stream (event records with no summary — what `lpm-serve` appends to
-//! `events.jsonl`) is parsed event by event.
+//! point (what `lpm-cli bench` writes to `BENCH_<tag>.json`) and a bare
+//! event stream (event records with no summary — what `lpm-serve`
+//! appends to `events.jsonl`), parsed event by event.
+//!
+//! A journal is read by the harness's journal reader and a bench record
+//! by `lpm_bench::bench::parse_snapshot`, so each format has one reader
+//! and this tool accepts exactly what the program itself accepts.
 //!
 //! Dropped events (the `RingRecorder` overflow counter) are always
 //! reported; with `--strict` any drop is a failure, because a CI
@@ -29,8 +30,12 @@
 //! `seq` numbers; `--strict` also fails on any mid-stream gap, the
 //! signature of a subscriber that silently lost records.
 
-use lpm_telemetry::{Event, TelemetryLog, Value};
+use std::path::Path;
 use std::process::ExitCode;
+
+use lpm_bench::bench::parse_snapshot;
+use lpm_harness::{inspect_journal, PointOutcome, Vfs};
+use lpm_telemetry::{Event, TelemetryLog, Value};
 
 /// What one validated file contained, for the summary line and the
 /// `--strict` drop gate.
@@ -121,71 +126,28 @@ fn check_sweep_jsonl(text: &str) -> Result<Checked, String> {
     })
 }
 
-/// Structurally validate a checkpoint journal (`lpm-cli sweep
-/// --checkpoint`). The fingerprint cannot be recomputed here — that
-/// needs the sweep spec, and the harness refuses mismatches on resume —
-/// but every record must be well-formed, `ok` rows must embed parsable
-/// telemetry, and a torn line is only tolerated at the very end (the
-/// expected residue of a kill mid-write).
-fn check_checkpoint_jsonl(text: &str) -> Result<Checked, String> {
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let header = Value::parse(lines.first().ok_or("journal is empty")?)
-        .map_err(|e| format!("line 1: unparsable header: {e}"))?;
-    for key in ["version", "fingerprint", "points"] {
-        if header.get(key).and_then(Value::as_u64).is_none() {
-            return Err(format!("line 1: header has no {key}"));
-        }
-    }
-    let points = header.get("points").and_then(Value::as_u64).unwrap_or(0);
-    let mut rows = 0usize;
+/// Validate a checkpoint journal (`lpm-cli sweep --checkpoint`) with
+/// the harness's own reader, so this accepts exactly the journals
+/// `--resume` and `lpm-cli journal verify` accept. The fingerprint
+/// cannot be checked here — that needs the sweep spec.
+fn check_checkpoint_jsonl(path: &str) -> Result<Checked, String> {
+    let journal = inspect_journal(&Vfs::real(), Path::new(path))?;
     let mut ok_rows = 0usize;
     let mut snapshots = 0usize;
     let mut dropped = 0u64;
-    let mut torn = false;
-    for (i, line) in lines.iter().enumerate().skip(1) {
-        let v = match Value::parse(line) {
-            Ok(v) => v,
-            Err(_) if i == lines.len() - 1 => {
-                torn = true;
-                break;
-            }
-            Err(e) => return Err(format!("line {}: corrupt record: {e}", i + 1)),
-        };
-        match v.get("type").and_then(Value::as_str) {
-            Some("checkpoint-row") => {
-                rows += 1;
-                for key in ["index", "label", "outcome", "point"] {
-                    if v.get(key).is_none() {
-                        return Err(format!("line {}: row has no {key}", i + 1));
-                    }
-                }
-                let index = v.get("index").and_then(Value::as_u64).unwrap_or(u64::MAX);
-                if index >= points {
-                    return Err(format!(
-                        "line {}: row index {index} out of range (journal declares {points})",
-                        i + 1
-                    ));
-                }
-                if v.get("outcome").and_then(Value::as_str) == Some("ok") {
-                    ok_rows += 1;
-                    let seg = v
-                        .get("result")
-                        .and_then(|r| r.get("telemetry"))
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| format!("line {}: ok row has no telemetry", i + 1))?;
-                    let log = TelemetryLog::from_jsonl(seg)
-                        .map_err(|e| format!("line {}: embedded telemetry: {e}", i + 1))?;
-                    snapshots += log.snapshots.len();
-                    dropped += log.summary.events_dropped;
-                }
-            }
-            Some("event") => {}
-            other => return Err(format!("line {}: unexpected record type {other:?}", i + 1)),
+    for row in journal.rows.values() {
+        if let PointOutcome::Ok(r) = &row.outcome {
+            ok_rows += 1;
+            snapshots += r.telemetry.snapshots.len();
+            dropped += r.telemetry.summary.events_dropped;
         }
     }
-    let mut what =
-        format!("checkpoint journal: {rows}/{points} rows ({ok_rows} ok), {snapshots} snapshots");
-    if torn {
+    let info = journal.info;
+    let mut what = format!(
+        "checkpoint journal: {}/{} rows ({ok_rows} ok), {snapshots} snapshots",
+        info.rows, info.points
+    );
+    if info.torn_tail {
         what.push_str(", torn trailing line");
     }
     Ok(Checked {
@@ -197,61 +159,23 @@ fn check_checkpoint_jsonl(text: &str) -> Result<Checked, String> {
     })
 }
 
-/// Schema-validate one `BENCH_<tag>.json` trajectory point. The file
-/// is a single JSON object written through the strict [`Value`] codec;
-/// the perf-trajectory contract is that `totals` carries nonzero
-/// points/sec and cycles/sec, so a broken bench cannot silently commit
-/// a zero baseline.
+/// Validate one `BENCH_<tag>.json` trajectory point: [`parse_snapshot`]
+/// walks the schema, and the perf-trajectory contract adds that both
+/// totals are positive, so a broken bench cannot silently commit a zero
+/// baseline.
 fn check_bench_json(text: &str) -> Result<Checked, String> {
-    let v = Value::parse(text.trim()).map_err(|e| format!("bench json: {e}"))?;
-    if v.get("type").and_then(Value::as_str) != Some("bench") {
-        return Err("bench json: type is not \"bench\"".into());
-    }
-    if v.get("schema_version").and_then(Value::as_u64).is_none() {
-        return Err("bench json: missing schema_version".into());
-    }
-    let tag = v
-        .get("tag")
-        .and_then(Value::as_str)
-        .ok_or("bench json: missing tag")?;
-    let host = v.get("host").ok_or("bench json: missing host")?;
-    for key in ["os", "arch"] {
-        if host.get(key).and_then(Value::as_str).is_none() {
-            return Err(format!("bench json: host has no {key}"));
-        }
-    }
-    let suite = v
-        .get("suite")
-        .and_then(Value::as_arr)
-        .ok_or("bench json: missing suite array")?;
-    if suite.is_empty() {
-        return Err("bench json: suite is empty".into());
-    }
-    for (i, entry) in suite.iter().enumerate() {
-        for key in ["name", "metric"] {
-            if entry.get(key).and_then(Value::as_str).is_none() {
-                return Err(format!("bench json: suite[{i}] has no {key}"));
-            }
-        }
-        for key in ["value", "wall_ns"] {
-            if entry.get(key).and_then(Value::as_f64).is_none() {
-                return Err(format!("bench json: suite[{i}] has no {key}"));
-            }
-        }
-    }
-    let totals = v.get("totals").ok_or("bench json: missing totals")?;
-    for key in ["points_per_sec", "cycles_per_sec"] {
-        let rate = totals
-            .get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("bench json: totals has no {key}"))?;
+    let snap = parse_snapshot(text)?;
+    for (key, rate) in [
+        ("points_per_sec", snap.points_per_sec),
+        ("cycles_per_sec", snap.cycles_per_sec),
+    ] {
         // NaN must fail too, so test is_finite rather than negating `>`.
         if !rate.is_finite() || rate <= 0.0 {
             return Err(format!("bench json: totals.{key} is not positive ({rate})"));
         }
     }
     Ok(Checked {
-        what: format!("bench {tag}: {} suite entries", suite.len()),
+        what: format!("bench {}: {} suite entries", snap.tag, snap.entries.len()),
         snapshots: usize::MAX,
         events_dropped: 0,
     })
@@ -338,7 +262,7 @@ fn check(path: &str, text: &str) -> Result<Checked, String> {
         .and_then(|v| v.get("type").and_then(Value::as_str).map(str::to_string));
     match first_type.as_deref() {
         Some("point") => check_sweep_jsonl(text),
-        Some("checkpoint-header") => check_checkpoint_jsonl(text),
+        Some("checkpoint-header") => check_checkpoint_jsonl(path),
         Some("bench") => check_bench_json(text),
         Some("event") => check_event_stream(text),
         _ => {

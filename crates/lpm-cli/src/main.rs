@@ -948,38 +948,6 @@ fn journal_targets(a: &Args) -> Result<Vec<std::path::PathBuf>, String> {
     Ok(out)
 }
 
-/// Whether a journal is *live*: a sibling `jobs/` directory (the serve
-/// state-dir layout) holds a non-terminal manifest with the journal's
-/// fingerprint. Removing such a journal would silently discard the
-/// progress a queued or running job is counting on.
-fn journal_live_job(path: &std::path::Path, fingerprint: u64) -> Option<String> {
-    use lpm_telemetry::Value;
-
-    let jobs_dir = path.parent()?.parent()?.join("jobs");
-    let entries = std::fs::read_dir(jobs_dir).ok()?;
-    let mut manifests: Vec<_> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-    manifests.sort();
-    for m in manifests {
-        if m.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
-        }
-        let Ok(text) = std::fs::read_to_string(&m) else {
-            continue;
-        };
-        let Ok(v) = Value::parse(text.trim()) else {
-            continue;
-        };
-        if v.get("fingerprint").and_then(Value::as_u64) != Some(fingerprint) {
-            continue;
-        }
-        let status = v.get("status").and_then(Value::as_str).unwrap_or("");
-        if matches!(status, "queued" | "running") {
-            return v.get("id").and_then(Value::as_str).map(str::to_string);
-        }
-    }
-    None
-}
-
 fn cmd_journal(a: &Args) -> Result<u8, String> {
     let action = a
         .positional
@@ -1000,8 +968,8 @@ fn cmd_journal(a: &Args) -> Result<u8, String> {
         );
     }
     for path in &targets {
-        match lpm_harness::inspect_journal(path) {
-            Ok(info) => {
+        match lpm_harness::inspect_journal(&lpm_harness::Vfs::real(), path) {
+            Ok(lpm_harness::Journal { info, .. }) => {
                 let state = if info.complete() {
                     "complete"
                 } else if info.torn_tail {
@@ -1026,7 +994,10 @@ fn cmd_journal(a: &Args) -> Result<u8, String> {
                         if info.torn_tail { ", torn tail" } else { "" }
                     ),
                     _ => {
-                        if let Some(id) = journal_live_job(path, info.fingerprint) {
+                        // A journal a serve job still resumes from is live.
+                        let live = lpm_serve::StateDir::of_journal(path)
+                            .and_then(|dir| dir.live_job(info.fingerprint));
+                        if let Some(id) = live {
                             if !a.has("force") {
                                 eprintln!(
                                     "{}: refusing to remove — live job {id} depends on it \
@@ -1506,26 +1477,51 @@ mod tests {
         assert!(e.contains("at least one"), "{e}");
     }
 
+    /// The spec flags of [`write_real_journal`]'s sweep.
+    const JOURNAL_SPEC_FLAGS: &[&str] = &[
+        "--configs",
+        "A",
+        "--instructions",
+        "30000",
+        "--intervals",
+        "2",
+        "--interval",
+        "5000",
+        "--warmup",
+        "5000",
+    ];
+
     /// Run a tiny journaled sweep into `journal_path` so journal
     /// subcommand tests have a real, intact journal to chew on.
     fn write_real_journal(journal_path: &std::path::Path) {
-        run(&sv(&[
-            "sweep",
-            "--configs",
-            "A",
-            "--instructions",
-            "30000",
-            "--intervals",
-            "2",
-            "--interval",
-            "5000",
-            "--warmup",
-            "5000",
-            "--quiet",
-            "--checkpoint",
-            journal_path.to_str().unwrap(),
-        ]))
-        .unwrap();
+        let mut argv = vec!["sweep"];
+        argv.extend_from_slice(JOURNAL_SPEC_FLAGS);
+        argv.extend(["--quiet", "--checkpoint", journal_path.to_str().unwrap()]);
+        run(&sv(&argv)).unwrap();
+    }
+
+    /// A serve job manifest for [`write_real_journal`]'s spec in `status`.
+    fn job_manifest(status: lpm_serve::JobStatus) -> String {
+        let mut argv = vec!["sweep"];
+        argv.extend_from_slice(JOURNAL_SPEC_FLAGS);
+        let spec = sweep_spec_from(&args::parse(&sv(&argv)).unwrap()).unwrap();
+        let job = lpm_serve::state::Job {
+            id: format!("1-{:016x}", spec.fingerprint()),
+            tenant: "t".into(),
+            seq: 1,
+            fingerprint: spec.fingerprint(),
+            spec,
+            jobs: 1,
+            deadline_ms: None,
+            status,
+            detail: String::new(),
+            retries_left: 0,
+            cancel: Default::default(),
+            cancel_cause: None,
+            started: None,
+            not_before: None,
+        };
+        lpm_serve::state::manifest_to_json(&job).unwrap().to_json() + "\n"
     }
 
     #[test]
@@ -1572,34 +1568,41 @@ mod tests {
 
     #[test]
     fn journal_rm_refuses_live_specs_until_forced() {
+        use lpm_serve::{JobStatus, StateDir};
+
         // Build a serve-style state dir by hand: journals/ + jobs/ with
-        // a queued manifest pointing at the journal's fingerprint.
+        // a queued manifest for the journal's spec.
         let state =
             std::env::temp_dir().join(format!("lpm-cli-journal-live-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&state);
-        std::fs::create_dir_all(state.join("journals")).unwrap();
-        std::fs::create_dir_all(state.join("jobs")).unwrap();
+        let dir = StateDir::new(&state);
+        dir.create().unwrap();
         let journal = state.join("journals").join("j.jsonl");
         write_real_journal(&journal);
-        let info = lpm_harness::inspect_journal(&journal).unwrap();
-        let manifest = format!(
-            "{{\"type\":\"job-manifest\",\"id\":\"1-{fp:016x}\",\"fingerprint\":{fp},\
-             \"status\":\"queued\"}}\n",
-            fp = info.fingerprint
-        );
-        std::fs::write(state.join("jobs").join("live.json"), &manifest).unwrap();
+        let manifest_path = state.join("jobs").join("live.json");
+        std::fs::write(&manifest_path, job_manifest(JobStatus::Queued)).unwrap();
 
         let journal_s = journal.to_str().unwrap().to_string();
         assert_eq!(run(&sv(&["journal", "rm", &journal_s])).unwrap(), 1);
         assert!(journal.exists(), "live journal must survive plain rm");
-        // A terminal manifest releases the guard ...
-        let done = manifest.replace("\"queued\"", "\"completed\"");
-        std::fs::write(state.join("jobs").join("live.json"), &done).unwrap();
+        // A completed job whose report is missing is resumed by recovery,
+        // so it still guards the journal ...
+        std::fs::write(&manifest_path, job_manifest(JobStatus::Completed)).unwrap();
+        assert_eq!(run(&sv(&["journal", "rm", &journal_s])).unwrap(), 1);
+        assert!(
+            journal.exists(),
+            "a journal recovery resumes from must survive"
+        );
+        // ... its report releases the guard ...
+        let info = lpm_harness::inspect_journal(&lpm_harness::Vfs::real(), &journal)
+            .unwrap()
+            .info;
+        std::fs::write(dir.report_path(info.fingerprint), "").unwrap();
         assert_eq!(run(&sv(&["journal", "rm", &journal_s])).unwrap(), 0);
         assert!(!journal.exists());
         // ... and --force overrides even a live one.
         write_real_journal(&journal);
-        std::fs::write(state.join("jobs").join("live.json"), &manifest).unwrap();
+        std::fs::write(&manifest_path, job_manifest(JobStatus::Queued)).unwrap();
         assert_eq!(
             run(&sv(&["journal", "rm", "--force", &journal_s])).unwrap(),
             0

@@ -395,3 +395,69 @@ fn client_journal_sees_and_guards_the_daemon_state_dir() {
     child.wait().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn journal_rm_guards_a_completed_job_whose_report_is_missing() {
+    use lpm_harness::{CheckpointJournal, SweepSpec};
+    use lpm_serve::state::{persist_manifest, Job};
+    use lpm_serve::{JobStatus, StateDir};
+
+    // Recovery re-enqueues a completed job whose report file is gone and
+    // resumes it from its journal, so that journal is live.
+    let root = std::env::temp_dir().join(format!("lpm-cli-serve-live-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let state = StateDir::new(root.join("state"));
+    state.create().unwrap();
+    let spec = SweepSpec::default();
+    let fingerprint = spec.fingerprint();
+    CheckpointJournal::create(
+        &state.journal_path(fingerprint),
+        fingerprint,
+        spec.points().len(),
+    )
+    .unwrap();
+    let job = Job {
+        id: format!("1-{fingerprint:016x}"),
+        tenant: "t".into(),
+        seq: 1,
+        fingerprint,
+        spec,
+        jobs: 1,
+        deadline_ms: None,
+        status: JobStatus::Completed,
+        detail: String::new(),
+        retries_left: 0,
+        cancel: Default::default(),
+        cancel_cause: None,
+        started: None,
+        not_before: None,
+    };
+    persist_manifest(&state, &job).unwrap();
+
+    let rm = || {
+        Command::new(BIN)
+            .args(["journal", "rm"])
+            .arg(state.journals_dir())
+            .output()
+            .expect("run journal rm")
+    };
+    let out = rm();
+    assert_eq!(out.status.code(), Some(1), "rm must refuse a live journal");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains(&format!("live job {}", job.id)),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(state.journal_path(fingerprint).exists());
+
+    // With the report on disk the job is done for good; rm proceeds.
+    std::fs::write(state.report_path(fingerprint), "").unwrap();
+    let out = rm();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!state.journal_path(fingerprint).exists());
+    let _ = std::fs::remove_dir_all(&root);
+}

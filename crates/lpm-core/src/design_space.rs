@@ -263,110 +263,6 @@ impl HwConfig {
     }
 }
 
-/// The design space as a *partitionable point set*: a cartesian grid over
-/// the five knob ladders (issue width × window × L1 ports × MSHRs × L2
-/// banks, with `iw_size` and `rob_size` tied to one "window" axis, as the
-/// LPM walk moves them together).
-///
-/// Every point has a stable index in `0..len()`, decoded with a fixed
-/// mixed-radix scheme, so the grid can be split across worker shards and
-/// re-merged deterministically: point `i` is the same `HwConfig` no
-/// matter who evaluates it or in what order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigGrid {
-    /// Issue-width ladder.
-    pub widths: Vec<u32>,
-    /// Window (IW = ROB) ladder.
-    pub windows: Vec<u32>,
-    /// L1 port ladder.
-    pub ports: Vec<u32>,
-    /// MSHR ladder.
-    pub mshrs: Vec<u32>,
-    /// L2 bank ladder.
-    pub l2_banks: Vec<u32>,
-}
-
-impl ConfigGrid {
-    /// The full §V.A grid (every ladder at full length).
-    pub fn full() -> Self {
-        ConfigGrid {
-            widths: WIDTHS.to_vec(),
-            windows: WINDOWS.to_vec(),
-            ports: PORTS.to_vec(),
-            mshrs: MSHRS.to_vec(),
-            l2_banks: L2_BANKS.to_vec(),
-        }
-    }
-
-    /// Number of points in the grid.
-    pub fn len(&self) -> usize {
-        self.widths.len()
-            * self.windows.len()
-            * self.ports.len()
-            * self.mshrs.len()
-            * self.l2_banks.len()
-    }
-
-    /// Whether any ladder is empty (an empty grid has no points).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Decode point `i` (mixed radix; the L2-bank axis varies fastest,
-    /// issue width slowest). Returns `None` past the end.
-    pub fn get(&self, i: usize) -> Option<HwConfig> {
-        if i >= self.len() {
-            return None;
-        }
-        let (i, l2_banks) = (
-            i / self.l2_banks.len(),
-            self.l2_banks[i % self.l2_banks.len()],
-        );
-        let (i, mshrs) = (i / self.mshrs.len(), self.mshrs[i % self.mshrs.len()]);
-        let (i, l1_ports) = (i / self.ports.len(), self.ports[i % self.ports.len()]);
-        let (i, window) = (i / self.windows.len(), self.windows[i % self.windows.len()]);
-        let issue_width = self.widths[i % self.widths.len()];
-        Some(HwConfig {
-            issue_width,
-            iw_size: window,
-            rob_size: window,
-            l1_ports,
-            mshrs,
-            l2_banks,
-        })
-    }
-
-    /// Iterate every point in index order.
-    pub fn iter(&self) -> impl Iterator<Item = HwConfig> + '_ {
-        // lpm-lint: allow(P001) indices come from 0..len(), get cannot miss
-        (0..self.len()).map(|i| self.get(i).expect("index in range"))
-    }
-
-    /// Split `0..len()` into `chunks` contiguous index ranges whose sizes
-    /// differ by at most one — the static partition a sweep deals to its
-    /// worker shards before work stealing rebalances.
-    pub fn partition(&self, chunks: usize) -> Vec<std::ops::Range<usize>> {
-        partition_indices(self.len(), chunks)
-    }
-}
-
-/// Split `0..n` into `chunks` contiguous ranges whose sizes differ by at
-/// most one. `chunks` is clamped to at least 1; trailing ranges may be
-/// empty when `chunks > n`.
-pub fn partition_indices(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    let chunks = chunks.max(1);
-    let base = n / chunks;
-    let extra = n % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for c in 0..chunks {
-        let size = base + usize::from(c < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
 /// One measured row of Table I.
 #[derive(Debug, Clone)]
 pub struct TableIRow {
@@ -550,51 +446,6 @@ mod tests {
         assert_eq!(HwConfig::by_label("A"), Some(HwConfig::A));
         assert_eq!(HwConfig::by_label("E"), Some(HwConfig::E));
         assert_eq!(HwConfig::by_label("Z"), None);
-    }
-
-    #[test]
-    fn grid_indexing_is_stable_and_exhaustive() {
-        let g = ConfigGrid::full();
-        assert_eq!(g.len(), 4 * 8 * 4 * 5 * 5);
-        assert!(g.get(g.len()).is_none());
-        // Index 0 is the all-minimum corner; the last index the maximum.
-        let first = g.get(0).unwrap();
-        assert_eq!((first.issue_width, first.iw_size), (2, 16));
-        assert_eq!(first.iw_size, first.rob_size);
-        let last = g.get(g.len() - 1).unwrap();
-        assert_eq!(
-            (last.issue_width, last.iw_size, last.l2_banks),
-            (8, 256, 16)
-        );
-        // The L2-bank axis varies fastest.
-        assert_eq!(g.get(1).unwrap().l2_banks, L2_BANKS[1]);
-        assert_eq!(g.get(1).unwrap().issue_width, first.issue_width);
-        // Every decoded point is distinct.
-        let all: Vec<HwConfig> = g.iter().collect();
-        assert_eq!(all.len(), g.len());
-        for (i, a) in all.iter().enumerate() {
-            assert_eq!(Some(*a), g.get(i));
-        }
-    }
-
-    #[test]
-    fn partition_covers_every_index_once() {
-        for (n, chunks) in [(16, 4), (17, 4), (3, 8), (0, 3), (100, 1)] {
-            let parts = partition_indices(n, chunks);
-            assert_eq!(parts.len(), chunks.max(1));
-            let mut seen = vec![false; n];
-            for r in &parts {
-                for i in r.clone() {
-                    assert!(!seen[i], "index {i} dealt twice");
-                    seen[i] = true;
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "index missing for n={n}");
-            // Balanced: sizes differ by at most one.
-            let sizes: Vec<usize> = parts.iter().map(|r| r.len()).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1);
-        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! embedded via its own lossless JSONL form), so a resumed sweep's
 //! report is byte-for-byte identical to an uninterrupted run's.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use lpm_core::design_space::HwConfig;
@@ -95,32 +96,19 @@ impl CheckpointJournal {
         })
     }
 
-    /// Reopen an existing journal for appending, after
-    /// [`load_journal`] validated it and counted `rows` intact rows.
-    pub fn open_append(path: &Path, rows: u64) -> Result<Self, String> {
-        Self::open_append_with(&Vfs::real(), path, rows, None)
-    }
-
-    /// Reopen a journal for appending through `vfs`. `truncate_to` is
-    /// the intact byte length reported by [`load_journal_for_resume`]:
-    /// when given, the file is truncated there first, so a torn tail
-    /// (the residue of a kill mid-write) is dropped *before* new rows
-    /// are appended — appending after the torn bytes would corrupt an
-    /// interior line and make every later resume refuse the journal.
-    pub fn open_append_with(
-        vfs: &Vfs,
-        path: &Path,
-        rows: u64,
-        truncate_to: Option<u64>,
-    ) -> Result<Self, String> {
-        if let Some(len) = truncate_to {
-            vfs.truncate(path, len).map_err(|e| {
-                format!(
-                    "cannot drop torn checkpoint tail of {}: {e}",
-                    path.display()
-                )
-            })?;
-        }
+    /// Reopen a journal for appending through `vfs`, first truncating it
+    /// to `valid_len`, the intact byte length reported by
+    /// [`load_journal_for_resume`]. A torn tail (the residue of a kill
+    /// mid-write) is so dropped *before* new rows are appended —
+    /// appending after the torn bytes would corrupt an interior line and
+    /// make every later resume refuse the journal.
+    pub fn open_append(vfs: &Vfs, path: &Path, rows: u64, valid_len: u64) -> Result<Self, String> {
+        vfs.truncate(path, valid_len).map_err(|e| {
+            format!(
+                "cannot drop torn checkpoint tail of {}: {e}",
+                path.display()
+            )
+        })?;
         let file = vfs
             .append(path)
             .map_err(|e| format!("cannot reopen checkpoint journal {}: {e}", path.display()))?;
@@ -202,22 +190,42 @@ impl JournalInfo {
     }
 }
 
-/// Inspect a journal without a spec: validate the header, fully decode
-/// every row record (so `verify` means "resume would accept this"), and
-/// report the counts. Shares [`load_journal`]'s corruption policy: a
-/// torn *final* line is tolerated (and flagged), interior corruption is
-/// an error.
-pub fn inspect_journal(path: &Path) -> Result<JournalInfo, String> {
-    inspect_journal_with(&Vfs::real(), path)
+/// A journal as its one reader decodes it.
+#[derive(Debug)]
+pub struct Journal {
+    /// The header stamp and intact-row accounting.
+    pub info: JournalInfo,
+    /// Intact rows by point index; a later duplicate replaces an earlier
+    /// one, which makes a crash between the row write and the process
+    /// exit harmless.
+    pub rows: BTreeMap<usize, PointRow>,
+    /// Byte length of the valid prefix; everything past it is a torn tail.
+    pub valid_len: u64,
 }
 
-/// [`inspect_journal`] through an explicit [`Vfs`] (so the serve
-/// daemon's recovery scan shares the daemon's fault schedule).
-pub fn inspect_journal_with(vfs: &Vfs, path: &Path) -> Result<JournalInfo, String> {
+/// Read a journal without a spec — the one reader behind `--resume`,
+/// `lpm-cli journal`, the serve daemon's recovery scan and
+/// `telemetry_check`. The header must carry this build's type and
+/// version plus a fingerprint and point count; every row record is fully
+/// decoded and its index checked against the point count. A torn *final*
+/// line is tolerated (and flagged); corruption anywhere before it is an
+/// error, because silently skipping interior rows would change the
+/// resumed report.
+pub fn inspect_journal(vfs: &Vfs, path: &Path) -> Result<Journal, String> {
     let text = vfs
         .read_to_string(path)
         .map_err(|e| format!("cannot read checkpoint journal {}: {e}", path.display()))?;
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    // Non-blank lines paired with the byte offset just past each line
+    // (newline included), so resume can truncate a torn tail away exactly.
+    let mut lines: Vec<(&str, u64)> = Vec::new();
+    let mut offset = 0u64;
+    for raw in text.split_inclusive('\n') {
+        offset += raw.len() as u64;
+        let line = raw.trim_end_matches(['\n', '\r']);
+        if !line.trim().is_empty() {
+            lines.push((line, offset));
+        }
+    }
     let at = |i: usize, what: &str| {
         format!(
             "checkpoint journal {}, line {}: {what}",
@@ -226,7 +234,7 @@ pub fn inspect_journal_with(vfs: &Vfs, path: &Path) -> Result<JournalInfo, Strin
         )
     };
 
-    let Some(first) = lines.first() else {
+    let Some(&(first, header_end)) = lines.first() else {
         return Err(format!(
             "checkpoint journal {} is empty (no header)",
             path.display()
@@ -256,12 +264,13 @@ pub fn inspect_journal_with(vfs: &Vfs, path: &Path) -> Result<JournalInfo, Strin
         .ok_or_else(|| at(0, "header has no point count"))?;
 
     // The point count is untrusted (a corrupt header can claim any
-    // number); track seen indices in a set sized by the rows actually
-    // present, never by the header's claim — `vec![false; points]` on a
-    // bogus count would be an attacker-sized allocation.
-    let mut seen = std::collections::BTreeSet::new();
+    // number), so rows live in a map sized by the rows actually present —
+    // a slot vector sized by the claim would be an attacker-sized
+    // allocation.
+    let mut rows = BTreeMap::new();
+    let mut valid_len = header_end;
     let mut torn_tail = false;
-    for (i, line) in lines.iter().enumerate().skip(1) {
+    for (i, &(line, end)) in lines.iter().enumerate().skip(1) {
         let v = match Value::parse(line) {
             Ok(v) => v,
             Err(_) if i == lines.len() - 1 => {
@@ -282,28 +291,31 @@ pub fn inspect_journal_with(vfs: &Vfs, path: &Path) -> Result<JournalInfo, Strin
                         ),
                     ));
                 }
-                seen.insert(row.index);
+                rows.insert(row.index, row);
             }
+            // `checkpoint-written` marker events are journal-local
+            // bookkeeping, not rows.
             Some("event") => {}
             other => return Err(at(i, &format!("unexpected record type {other:?}"))),
         }
+        valid_len = end;
     }
-    Ok(JournalInfo {
-        version,
-        fingerprint,
-        points,
-        rows: seen.len() as u64,
-        torn_tail,
+    Ok(Journal {
+        info: JournalInfo {
+            version,
+            fingerprint,
+            points,
+            rows: rows.len() as u64,
+            torn_tail,
+        },
+        rows,
+        valid_len,
     })
 }
 
-/// Load a journal and return its intact rows (any order, at most one per
-/// index — later duplicates win, which makes a crash between the row
-/// write and the process exit harmless).
-///
-/// `expect_fingerprint` / `expect_points` come from the spec being
-/// resumed; a mismatch is refused with a typed error. A torn final line
-/// is tolerated; earlier corruption is not.
+/// Load a journal on the real filesystem and return its intact rows in
+/// index order. `expect_fingerprint` / `expect_points` come from the spec
+/// being resumed; see [`load_journal_for_resume`].
 pub fn load_journal(
     path: &Path,
     expect_fingerprint: u64,
@@ -312,130 +324,42 @@ pub fn load_journal(
     Ok(load_journal_for_resume(&Vfs::real(), path, expect_fingerprint, expect_points)?.0)
 }
 
-/// [`load_journal`] through an explicit [`Vfs`].
-pub fn load_journal_with(
-    vfs: &Vfs,
-    path: &Path,
-    expect_fingerprint: u64,
-    expect_points: usize,
-) -> Result<Vec<PointRow>, String> {
-    Ok(load_journal_for_resume(vfs, path, expect_fingerprint, expect_points)?.0)
-}
-
-/// Load a journal for resumption: the intact rows plus the byte length
-/// of the journal's valid prefix (everything past it is a torn tail).
-/// Resume passes that length to [`CheckpointJournal::open_append_with`]
-/// so new rows are appended after the last *intact* line, never after
-/// torn residue.
+/// Load a journal for resumption: the intact rows in index order plus
+/// the byte length of the journal's valid prefix (everything past it is
+/// a torn tail). A journal stamped for a different spec is refused with a
+/// typed error. Resume passes the length to
+/// [`CheckpointJournal::open_append`] so new rows are appended after
+/// the last *intact* line, never after torn residue.
 pub fn load_journal_for_resume(
     vfs: &Vfs,
     path: &Path,
     expect_fingerprint: u64,
     expect_points: usize,
 ) -> Result<(Vec<PointRow>, u64), String> {
-    let text = vfs
-        .read_to_string(path)
-        .map_err(|e| format!("cannot read checkpoint journal {}: {e}", path.display()))?;
-    // Lines paired with the byte offset just past each line (newline
-    // included), so the caller can truncate a torn tail away exactly.
-    let mut lines: Vec<&str> = Vec::new();
-    let mut line_ends: Vec<u64> = Vec::new();
-    let mut offset = 0u64;
-    for raw in text.split_inclusive('\n') {
-        offset += raw.len() as u64;
-        let line = raw.trim_end_matches(['\n', '\r']);
-        if !line.trim().is_empty() {
-            lines.push(line);
-            line_ends.push(offset);
-        }
-    }
-    let at = |i: usize, what: &str| {
-        format!(
-            "checkpoint journal {}, line {}: {what}",
-            path.display(),
-            i + 1
-        )
-    };
-
-    let Some(first) = lines.first() else {
-        return Err(format!(
-            "checkpoint journal {} is empty (no header)",
-            path.display()
-        ));
-    };
-    let header = Value::parse(first).map_err(|e| at(0, &format!("unparsable header: {e}")))?;
-    if header.get("type").and_then(Value::as_str) != Some("checkpoint-header") {
-        return Err(at(
-            0,
-            "not a checkpoint journal (missing checkpoint-header)",
-        ));
-    }
-    let version = header.get("version").and_then(Value::as_u64).unwrap_or(0);
-    if version != JOURNAL_VERSION {
-        return Err(at(
-            0,
-            &format!("unsupported journal version {version} (this build writes {JOURNAL_VERSION})"),
-        ));
-    }
-    let fp = header
-        .get("fingerprint")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| at(0, "header has no fingerprint"))?;
-    if fp != expect_fingerprint {
+    let Journal {
+        info,
+        rows,
+        valid_len,
+    } = inspect_journal(vfs, path)?;
+    if info.fingerprint != expect_fingerprint {
         return Err(format!(
             "checkpoint journal {} was written for a different sweep spec \
-             (journal fingerprint {fp:#018x}, current spec {expect_fingerprint:#018x}); \
+             (journal fingerprint {:#018x}, current spec {expect_fingerprint:#018x}); \
              refusing to resume — delete the journal or rerun the original spec",
-            path.display()
+            path.display(),
+            info.fingerprint
         ));
     }
-    let points = header
-        .get("points")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| at(0, "header has no point count"))?;
-    if points != expect_points as u64 {
+    if info.points != expect_points as u64 {
         return Err(format!(
-            "checkpoint journal {} records {points} point(s) but the spec enumerates {}; \
+            "checkpoint journal {} records {} point(s) but the spec enumerates {}; \
              refusing to resume",
             path.display(),
+            info.points,
             expect_points
         ));
     }
-
-    let mut slots: Vec<Option<PointRow>> = Vec::new();
-    slots.resize_with(expect_points, || None);
-    let mut valid_end = line_ends.first().copied().unwrap_or(0);
-    for (i, line) in lines.iter().enumerate().skip(1) {
-        let v = match Value::parse(line) {
-            Ok(v) => v,
-            // A torn *final* line is the expected residue of a kill
-            // mid-write: drop it and resume from the last intact row.
-            Err(_) if i == lines.len() - 1 => break,
-            Err(e) => return Err(at(i, &format!("corrupt record: {e}"))),
-        };
-        match v.get("type").and_then(Value::as_str) {
-            Some("checkpoint-row") => {
-                let row = row_from_json(&v).map_err(|e| at(i, &e))?;
-                if row.index >= expect_points {
-                    return Err(at(
-                        i,
-                        &format!(
-                            "row index {} out of range (spec has {expect_points})",
-                            row.index
-                        ),
-                    ));
-                }
-                let idx = row.index;
-                slots[idx] = Some(row);
-            }
-            // `checkpoint-written` marker events are journal-local
-            // bookkeeping, not rows.
-            Some("event") => {}
-            other => return Err(at(i, &format!("unexpected record type {other:?}"))),
-        }
-        valid_end = line_ends[i];
-    }
-    Ok((slots.into_iter().flatten().collect(), valid_end))
+    Ok((rows.into_values().collect(), valid_len))
 }
 
 pub(crate) fn hw_json(hw: HwConfig) -> Value {
@@ -767,7 +691,7 @@ mod tests {
         let mut j = CheckpointJournal::create(&path, spec.fingerprint(), 2).unwrap();
         j.append(&row).unwrap();
         drop(j);
-        let info = inspect_journal(&path).unwrap();
+        let info = inspect_journal(&Vfs::real(), &path).unwrap().info;
         assert_eq!(info.version, JOURNAL_VERSION);
         assert_eq!(info.fingerprint, spec.fingerprint());
         assert_eq!(info.points, 2);
@@ -777,14 +701,14 @@ mod tests {
         // A torn tail is flagged, not fatal — the row count stands.
         let intact = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, format!("{intact}{{\"type\":\"checkpoint-r")).unwrap();
-        let info = inspect_journal(&path).unwrap();
+        let info = inspect_journal(&Vfs::real(), &path).unwrap().info;
         assert_eq!(info.rows, 1);
         assert!(info.torn_tail);
         // Interior corruption keeps load_journal's strictness.
         let mut lines: Vec<String> = intact.lines().map(str::to_string).collect();
         lines.insert(1, "{\"type\":\"checkpoint-r".into());
         std::fs::write(&path, lines.join("\n")).unwrap();
-        assert!(inspect_journal(&path)
+        assert!(inspect_journal(&Vfs::real(), &path)
             .unwrap_err()
             .contains("corrupt record"));
         std::fs::remove_file(&path).ok();
@@ -803,7 +727,7 @@ mod tests {
              \"fingerprint\":7,\"points\":1000000000000000000}\n",
         )
         .unwrap();
-        let info = inspect_journal(&path).unwrap();
+        let info = inspect_journal(&Vfs::real(), &path).unwrap().info;
         assert_eq!(info.points, 1_000_000_000_000_000_000);
         assert_eq!(info.rows, 0);
         assert!(!info.complete());
@@ -821,7 +745,7 @@ mod tests {
         // one distinct index.
         j.append(&row).unwrap();
         drop(j);
-        let info = inspect_journal(&path).unwrap();
+        let info = inspect_journal(&Vfs::real(), &path).unwrap().info;
         assert_eq!(info.rows, 1);
         assert!(info.complete());
         std::fs::remove_file(&path).ok();

@@ -747,12 +747,7 @@ fn run_sweep_inner(
                 let idx = row.index;
                 slots[idx] = Some(row);
             }
-            Some(CheckpointJournal::open_append_with(
-                &vfs,
-                path,
-                n,
-                Some(valid_len),
-            )?)
+            Some(CheckpointJournal::open_append(&vfs, path, n, valid_len)?)
         }
         Some(path) => Some(CheckpointJournal::create_with(
             &vfs,
@@ -774,72 +769,69 @@ fn run_sweep_inner(
         .enumerate()
         .filter_map(|(i, s)| s.is_none().then_some(i))
         .collect();
-    let workers = jobs.min(pending.len());
+    // One worker at least, so an already complete resume needs no
+    // special case (its worker finds the queue dry at once).
+    let workers = jobs.min(pending.len()).max(1);
     let mut guard = WallGuard::spawn(opts.wall_warn);
     let cancel = opts.cancel.as_deref();
     let is_cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
 
-    let mut journal_err: Option<String> = None;
-    if workers <= 1 {
-        // Serial reference path: evaluate in point order, no threads.
-        for &i in &pending {
-            if is_cancelled() {
-                break;
-            }
-            let (row, attr) = guarded_row(guard.as_ref(), &points[i], spec, mode);
-            if let Some(j) = journal.as_mut() {
-                if let Err(e) = j.append(&row) {
-                    journal_err = Some(e);
-                    break;
-                }
-            }
-            slots[i] = Some(row);
-            attrs[i] = attr.map(|b| *b);
-        }
-    } else {
-        let queue = WorkStealingQueue::deal_indices(&pending, workers);
-        // Bounded channel (lint D005): a small per-worker cushion keeps
-        // workers busy while the collector journals; an unbounded queue
-        // would hide collector stalls as silent memory growth.
-        let (tx, rx) = mpsc::sync_channel::<(PointRow, Option<Box<CycleAttribution>>)>(
-            workers.saturating_mul(2),
-        );
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let queue = &queue;
-                let points = &points;
-                let guard = guard.as_ref();
-                scope.spawn(move || {
-                    worker_loop(w, queue, points, spec, guard, cancel, mode, &tx);
-                });
-            }
-            drop(tx);
-            // Move the receiver into the scope so the error path below
-            // can drop it *before* the scope joins the workers; with the
-            // channel bounded, a receiver that merely stopped receiving
-            // would leave workers blocked in `send` forever and the join
-            // would deadlock.
-            let rx = rx;
-            // Arrival order is schedule-dependent; the slot vector
-            // erases it before anything downstream can observe it.
+    let queue = WorkStealingQueue::deal_indices(&pending, workers);
+    // Bounded channel (lint D005): a small per-worker cushion keeps
+    // workers busy while the collector journals; an unbounded queue
+    // would hide collector stalls as silent memory growth.
+    let (tx, rx) =
+        mpsc::sync_channel::<(PointRow, Option<Box<CycleAttribution>>)>(workers.saturating_mul(2));
+    let journal_err = std::thread::scope(|scope| {
+        // One sender per worker. The original is dropped here, so the
+        // collector's drain ends when the last worker hangs up.
+        let senders: Vec<_> = (0..workers).map(|_| tx.clone()).collect();
+        drop(tx);
+        let (slots, attrs, journal) = (&mut slots, &mut attrs, &mut journal);
+        // The collector files each row as it arrives. Arrival order is
+        // schedule-dependent; the slot vector erases it before anything
+        // downstream can observe it.
+        let mut collect = move || {
             while let Ok((row, attr)) = rx.recv() {
                 if let Some(j) = journal.as_mut() {
                     if let Err(e) = j.append(&row) {
-                        journal_err = Some(e);
-                        // Dropping the receiver makes every worker's
-                        // next send fail, which triggers their drain
-                        // path and winds the sweep down.
-                        drop(rx);
-                        break;
+                        // Returning drops the receiver, so every
+                        // worker's next send fails, which triggers its
+                        // drain path and winds the sweep down.
+                        return Some(e);
                     }
                 }
                 let idx = row.index;
                 slots[idx] = Some(row);
                 attrs[idx] = attr.map(|b| *b);
             }
-        });
-    }
+            None
+        };
+        let run_worker = |w: usize, tx: mpsc::SyncSender<_>| {
+            worker_loop(w, &queue, &points, spec, guard.as_ref(), cancel, mode, &tx);
+        };
+        if workers == 1 {
+            // A lone worker runs on the calling thread beside a
+            // collector thread, so a serve runner's one-worker job keeps
+            // its allocations in the runner's own allocator arena; a
+            // fresh worker thread per job claims other arenas (perfbench
+            // serve-mix peak RSS 12.1 -> 17.7 MB, 2-CPU host). With more
+            // workers the caller collects: simulating on it, often the
+            // main thread, raised sweep-membound's from 47 to 63 MB.
+            let collector = scope.spawn(collect);
+            for (w, tx) in senders.into_iter().enumerate() {
+                run_worker(w, tx);
+            }
+            collector
+                .join()
+                .unwrap_or_else(|_| Some("checkpoint collector panicked".to_string()))
+        } else {
+            for (w, tx) in senders.into_iter().enumerate() {
+                scope.spawn(move || run_worker(w, tx));
+            }
+            collect()
+        }
+    });
     // Explicit shutdown before any return below: the guard thread is
     // joined here, so not one byte of stall diagnostics can print after
     // the engine's own error or report reaches the caller.
@@ -1229,6 +1221,28 @@ mod tests {
         };
         JOURNAL_FAIL_AFTER.with(|c| c.set(Some(1)));
         let err = run_sweep_with(&spec, 4, &opts).unwrap_err();
+        JOURNAL_FAIL_AFTER.with(|c| c.set(None));
+        assert!(err.contains("injected journal fault"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn journal_error_with_one_worker_returns_from_the_calling_thread() {
+        // A lone worker runs on the calling thread and the collector on
+        // its own; the collector's journal error must still wind the
+        // worker down, past the channel's two-row cushion (8 points).
+        let spec = SweepSpec {
+            seeds: (0..2).collect(),
+            ..tiny_spec()
+        };
+        let mut path = std::env::temp_dir();
+        path.push(format!("lpm-engine-jfail1-{}.jsonl", std::process::id()));
+        let opts = SweepOptions {
+            checkpoint: Some(path.clone()),
+            ..SweepOptions::default()
+        };
+        JOURNAL_FAIL_AFTER.with(|c| c.set(Some(1)));
+        let err = run_sweep_with(&spec, 1, &opts).unwrap_err();
         JOURNAL_FAIL_AFTER.with(|c| c.set(None));
         assert!(err.contains("injected journal fault"), "{err}");
         std::fs::remove_file(&path).ok();

@@ -72,8 +72,7 @@ pub mod report;
 pub mod specio;
 
 pub use checkpoint::{
-    inspect_journal, inspect_journal_with, load_journal, load_journal_for_resume,
-    load_journal_with, CheckpointJournal, JournalInfo,
+    inspect_journal, load_journal, load_journal_for_resume, CheckpointJournal, Journal, JournalInfo,
 };
 pub use engine::{
     evaluate_point, evaluate_row, evaluate_row_profiled, run_sweep, run_sweep_profiled,

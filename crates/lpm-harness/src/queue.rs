@@ -24,21 +24,10 @@ pub struct WorkStealingQueue {
 }
 
 impl WorkStealingQueue {
-    /// Deal point indices `0..points` round-robin across `shards` deques
-    /// (point `i` lands on shard `i % shards`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn deal(points: usize, shards: usize) -> Self {
-        let indices: Vec<usize> = (0..points).collect();
-        Self::deal_indices(&indices, shards)
-    }
-
-    /// Deal an explicit index set round-robin across `shards` deques
-    /// (the `k`-th listed index lands on shard `k % shards`). This is
-    /// the resume path: a checkpointed sweep re-deals only its *pending*
-    /// indices, which are an arbitrary subset of `0..points`.
+    /// Deal an index set round-robin across `shards` deques (the `k`-th
+    /// listed index lands on shard `k % shards`). A fresh sweep deals
+    /// `0..points`; a resumed one deals only its *pending* indices, an
+    /// arbitrary subset of them.
     ///
     /// # Panics
     ///
@@ -98,9 +87,14 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    /// Deal `0..n` across `shards`, as a fresh sweep does.
+    fn deal_range(n: usize, shards: usize) -> WorkStealingQueue {
+        WorkStealingQueue::deal_indices(&(0..n).collect::<Vec<_>>(), shards)
+    }
+
     #[test]
     fn deal_is_round_robin() {
-        let q = WorkStealingQueue::deal(7, 3);
+        let q = deal_range(7, 3);
         assert_eq!(q.shards(), 3);
         assert_eq!(q.remaining(), 7);
         // Shard 0 holds 0,3,6; draining it alone pops them in order.
@@ -111,7 +105,7 @@ mod tests {
 
     #[test]
     fn single_shard_pops_in_point_order() {
-        let q = WorkStealingQueue::deal(5, 1);
+        let q = deal_range(5, 1);
         let drained: Vec<usize> = std::iter::from_fn(|| q.pop(0)).collect();
         assert_eq!(drained, [0, 1, 2, 3, 4]);
         assert_eq!(q.pop(0), None);
@@ -119,7 +113,7 @@ mod tests {
 
     #[test]
     fn every_index_is_popped_exactly_once_with_stealing() {
-        let q = WorkStealingQueue::deal(16, 4);
+        let q = deal_range(16, 4);
         // Worker 3 never touches its own deque first here: drain the
         // whole queue through worker 0, forcing steals.
         let mut seen = BTreeSet::new();
@@ -135,7 +129,7 @@ mod tests {
 
     #[test]
     fn stealing_takes_from_the_back() {
-        let q = WorkStealingQueue::deal(6, 2);
+        let q = deal_range(6, 2);
         // Shard 1 holds [1, 3, 5]; a thief (worker 0 with an empty own
         // deque) must take 5 first, leaving the victim's front intact.
         q.lock(0).clear();
@@ -155,21 +149,9 @@ mod tests {
     }
 
     #[test]
-    fn deal_of_a_range_equals_deal_indices_of_that_range() {
-        let a = WorkStealingQueue::deal(9, 4);
-        let b = WorkStealingQueue::deal_indices(&(0..9).collect::<Vec<_>>(), 4);
-        for s in 0..4 {
-            assert_eq!(
-                a.lock(s).iter().copied().collect::<Vec<_>>(),
-                b.lock(s).iter().copied().collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
     fn concurrent_drain_is_exactly_once() {
         use std::sync::mpsc;
-        let q = WorkStealingQueue::deal(64, 4);
+        let q = deal_range(64, 4);
         let (tx, rx) = mpsc::sync_channel(64);
         std::thread::scope(|s| {
             for w in 0..4 {

@@ -38,6 +38,11 @@ fn drain(
     rx.iter().collect()
 }
 
+/// Deal `0..n` across `shards`, as a fresh sweep does.
+fn deal_range(n: usize, shards: usize) -> WorkStealingQueue {
+    WorkStealingQueue::deal_indices(&(0..n).collect::<Vec<_>>(), shards)
+}
+
 fn assert_exactly_once(deliveries: &[(usize, usize)], expect: &[usize]) {
     let mut seen: Vec<usize> = deliveries.iter().map(|&(_, i)| i).collect();
     seen.sort_unstable();
@@ -49,7 +54,7 @@ fn sixteen_workers_with_pathological_cost_skew_deliver_exactly_once() {
     // Every 17th point is ~4000x more expensive than its neighbours, so
     // a shard that drew several heavy points must be relieved by steals.
     let points = 512;
-    let q = WorkStealingQueue::deal(points, 16);
+    let q = deal_range(points, 16);
     let deliveries = drain(&q, 16, |i| if i % 17 == 0 { 400_000 } else { 100 });
     assert_exactly_once(&deliveries, &(0..points).collect::<Vec<_>>());
     assert_eq!(q.remaining(), 0);
@@ -63,7 +68,7 @@ fn sixteen_workers_with_pathological_cost_skew_deliver_exactly_once() {
 
 #[test]
 fn more_workers_than_points_is_safe() {
-    let q = WorkStealingQueue::deal(3, 16);
+    let q = deal_range(3, 16);
     let deliveries = drain(&q, 16, |_| 1_000);
     assert_exactly_once(&deliveries, &[0, 1, 2]);
 }
@@ -82,7 +87,7 @@ fn sparse_resume_hands_survive_contention() {
 fn repeated_contended_drains_never_duplicate_or_drop() {
     // Races are schedule-dependent; repeat to shake them out.
     for round in 0..25 {
-        let q = WorkStealingQueue::deal(96, 6);
+        let q = deal_range(96, 6);
         let deliveries = drain(&q, 6, |i| u64::from(i as u32 % 5) * 200 + round);
         assert_exactly_once(&deliveries, &(0..96).collect::<Vec<_>>());
     }

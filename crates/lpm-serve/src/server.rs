@@ -27,7 +27,7 @@ use std::thread;
 use std::time::Duration;
 
 use lpm_harness::{
-    inspect_journal_with, run_sweep_with, PointOutcome, SweepOptions, SweepReport, SweepSpec,
+    inspect_journal, run_sweep_with, PointOutcome, SweepOptions, SweepReport, SweepSpec,
 };
 use lpm_telemetry::{Event, JobPhase, Value};
 use lpm_vfs::{IoChaosConfig, Vfs, VfsFile};
@@ -37,8 +37,7 @@ use crate::metrics::MetricsReport;
 use crate::proto::{self, obj, MetricsFormat, Request};
 use crate::signal;
 use crate::state::{
-    atomic_write_with, manifest_from_json, persist_manifest, CancelCause, Job, JobStatus,
-    ServeState, StateDir,
+    atomic_write_with, persist_manifest, CancelCause, Job, JobStatus, ServeState, StateDir,
 };
 
 /// How many lifecycle events the in-memory ring keeps for the `events`
@@ -285,74 +284,50 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
 }
 
 /// Scan the jobs directory and rebuild the registry: completed jobs
-/// refill the report cache, interrupted (queued/running) jobs are
-/// re-enqueued in admission order, terminal jobs stay queryable.
+/// refill the report cache, jobs [resumed from their
+/// journal](StateDir::resumes_from_journal) are re-enqueued in admission
+/// order, terminal jobs stay queryable.
 fn recover(shared: &Shared) -> Result<(), String> {
-    let jobs_dir = shared.dir.jobs_dir();
-    let mut names: Vec<PathBuf> = std::fs::read_dir(&jobs_dir)
-        .map_err(|e| format!("cannot read {}: {e}", jobs_dir.display()))?
-        .filter_map(|ent| ent.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    names.sort();
-
+    let manifests = shared.dir.manifests()?;
     let mut requeue: Vec<(u64, String)> = Vec::new();
     let mut st = shared.locked();
-    for path in names {
-        let text = match shared.dir.vfs().read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!(
-                    "lpm-serve: skipping unreadable manifest {}: {e}",
-                    path.display()
-                );
-                continue;
-            }
-        };
-        let job = match Value::parse(text.trim()).and_then(|v| manifest_from_json(&v)) {
+    for job in manifests {
+        let mut job = match job {
             Ok(j) => j,
             Err(e) => {
-                eprintln!(
-                    "lpm-serve: skipping corrupt manifest {}: {e}",
-                    path.display()
-                );
+                eprintln!("lpm-serve: skipping {e}");
                 continue;
             }
         };
         st.next_seq = st.next_seq.max(job.seq + 1);
-        match job.status {
-            JobStatus::Completed if shared.dir.report_path(job.fingerprint).exists() => {
+        if !shared.dir.resumes_from_journal(&job) {
+            if job.status == JobStatus::Completed {
                 st.completed_by_fp.insert(job.fingerprint, job.id.clone());
-                st.jobs.insert(job.id.clone(), job);
             }
-            JobStatus::Failed | JobStatus::Cancelled => {
-                st.jobs.insert(job.id.clone(), job);
-            }
-            // Queued, running, or completed-with-missing-report: the
-            // journal has whatever rows were fsynced before the kill;
-            // re-enqueue and let the sweep resume from it.
-            _ => {
-                let mut job = job;
-                let journal = shared.dir.journal_path(job.fingerprint);
-                let progress = match inspect_journal_with(shared.dir.vfs(), &journal) {
-                    Ok(info) => {
-                        format!("{} of {} row(s) already journaled", info.rows, info.points)
-                    }
-                    Err(_) => "no journal yet".to_string(),
-                };
-                job.status = JobStatus::Queued;
-                job.detail = format!("resumed: {progress}");
-                persist_manifest(&shared.dir, &job)?;
-                st.active_by_fp.insert(job.fingerprint, job.id.clone());
-                requeue.push((job.seq, job.id.clone()));
-                let (id, detail) = (job.id.clone(), job.detail.clone());
-                st.jobs.insert(job.id.clone(), job);
-                st.metrics.resumes += 1;
-                drop(st);
-                shared.emit(JobPhase::Resumed, &id, &detail);
-                st = shared.locked();
-            }
+            st.jobs.insert(job.id.clone(), job);
+            continue;
         }
+        // The journal has whatever rows were fsynced before the kill;
+        // re-enqueue and let the sweep resume from it.
+        let journal = shared.dir.journal_path(job.fingerprint);
+        let progress = match inspect_journal(shared.dir.vfs(), &journal) {
+            Ok(j) => format!(
+                "{} of {} row(s) already journaled",
+                j.info.rows, j.info.points
+            ),
+            Err(_) => "no journal yet".to_string(),
+        };
+        job.status = JobStatus::Queued;
+        job.detail = format!("resumed: {progress}");
+        persist_manifest(&shared.dir, &job)?;
+        st.active_by_fp.insert(job.fingerprint, job.id.clone());
+        requeue.push((job.seq, job.id.clone()));
+        let (id, detail) = (job.id.clone(), job.detail.clone());
+        st.jobs.insert(job.id.clone(), job);
+        st.metrics.resumes += 1;
+        drop(st);
+        shared.emit(JobPhase::Resumed, &id, &detail);
+        st = shared.locked();
     }
     requeue.sort();
     for (_, id) in requeue {

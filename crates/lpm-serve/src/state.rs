@@ -247,6 +247,61 @@ impl StateDir {
     pub fn events_path(&self) -> PathBuf {
         self.root.join("events.jsonl")
     }
+
+    /// The state directory a journal at `path` lives in, if `path` sits
+    /// in a state directory's `journals/`.
+    pub fn of_journal(path: &Path) -> Option<StateDir> {
+        let journals = path.parent()?;
+        let dir = StateDir::new(journals.parent()?);
+        (dir.journals_dir() == journals).then_some(dir)
+    }
+
+    /// Every `jobs/*.json` manifest in file-name order, each decoded by
+    /// [`manifest_from_json`] or replaced by why it could not be.
+    pub fn manifests(&self) -> Result<Vec<Result<Job, String>>, String> {
+        let jobs_dir = self.jobs_dir();
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(&jobs_dir)
+            .map_err(|e| format!("cannot read {}: {e}", jobs_dir.display()))?
+            .filter_map(|ent| ent.ok().map(|e| e.path()))
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        paths.sort();
+        Ok(paths
+            .iter()
+            .map(|path| {
+                let text = self
+                    .vfs
+                    .read_to_string(path)
+                    .map_err(|e| format!("unreadable manifest {}: {e}", path.display()))?;
+                Value::parse(text.trim())
+                    .and_then(|v| manifest_from_json(&v))
+                    .map_err(|e| format!("corrupt manifest {}: {e}", path.display()))
+            })
+            .collect())
+    }
+
+    /// Whether recovery resumes `job` from its journal: a queued or
+    /// running job does, and so does a completed one whose report file
+    /// is missing. This is the one live-job rule — a journal such a job
+    /// resumes from must not be removed.
+    pub fn resumes_from_journal(&self, job: &Job) -> bool {
+        match job.status {
+            JobStatus::Queued | JobStatus::Running => true,
+            JobStatus::Completed => !self.report_path(job.fingerprint).exists(),
+            JobStatus::Failed | JobStatus::Cancelled => false,
+        }
+    }
+
+    /// The id of a job recovery would resume from the journal for
+    /// `fingerprint`, if any (unreadable manifests are skipped).
+    pub fn live_job(&self, fingerprint: u64) -> Option<String> {
+        self.manifests()
+            .ok()?
+            .into_iter()
+            .flatten()
+            .find(|job| job.fingerprint == fingerprint && self.resumes_from_journal(job))
+            .map(|job| job.id)
+    }
 }
 
 /// Write `text` to `path` atomically: tmp file in the same directory,

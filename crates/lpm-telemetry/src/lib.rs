@@ -32,7 +32,10 @@
 //!
 //! [`TelemetryLog`] serializes to JSON-lines (snapshots + events +
 //! summary) and CSV (snapshot table), both with exact round-trip
-//! parsers used by the test suite and the `telemetry_check` CI binary.
+//! parsers used by the test suite and `lpm-cli`'s `telemetry_check` CI
+//! binary. The formats built on top of these records — the checkpoint
+//! journal, the `BENCH_*.json` record — are read by the crates that
+//! write them, not here.
 
 #![warn(missing_docs)]
 
