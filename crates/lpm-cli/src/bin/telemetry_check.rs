@@ -19,6 +19,11 @@
 //! event stream (event records with no summary — what `lpm-serve`
 //! appends to `events.jsonl`), parsed event by event.
 //!
+//! A `.csv` file is a sweep summary table when its first line is the
+//! harness's [`SWEEP_CSV_HEADER`] (what `lpm-cli sweep
+//! --telemetry-format csv` writes), and a single-run telemetry CSV
+//! otherwise.
+//!
 //! A journal is read by the harness's journal reader and a bench record
 //! by `lpm_bench::bench::parse_snapshot`, so each format has one reader
 //! and this tool accepts exactly what the program itself accepts.
@@ -34,7 +39,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use lpm_bench::bench::parse_snapshot;
-use lpm_harness::{inspect_journal, PointOutcome, Vfs};
+use lpm_harness::{inspect_journal, PointOutcome, Vfs, SWEEP_CSV_HEADER};
 use lpm_telemetry::{Event, TelemetryLog, Value};
 
 /// What one validated file contained, for the summary line and the
@@ -123,6 +128,64 @@ fn check_sweep_jsonl(text: &str) -> Result<Checked, String> {
             usize::MAX
         },
         events_dropped: header_drops,
+    })
+}
+
+/// Validate a sweep summary CSV against [`SWEEP_CSV_HEADER`]: every
+/// row has one cell per header column and an `outcome` that is a
+/// [`PointOutcome`] kind, and a row that did not finish leaves its
+/// measurement cells (`events_dropped` up to `error`) empty.
+fn check_sweep_csv(text: &str) -> Result<Checked, String> {
+    let columns: Vec<&str> = SWEEP_CSV_HEADER.split(',').collect();
+    let column = |name: &str| {
+        columns
+            .iter()
+            .position(|c| *c == name)
+            .ok_or_else(|| format!("sweep CSV header has no {name} column"))
+    };
+    let (outcome, dropped, error) = (
+        column("outcome")?,
+        column("events_dropped")?,
+        column("error")?,
+    );
+    let (mut rows, mut not_ok, mut events_dropped) = (0usize, 0usize, 0u64);
+    for (i, line) in text.lines().enumerate().skip(1) {
+        let cells: Vec<&str> = line.split(',').collect();
+        if cells.len() != columns.len() {
+            return Err(format!(
+                "line {}: {} cells, the sweep CSV header has {}",
+                i + 1,
+                cells.len(),
+                columns.len()
+            ));
+        }
+        let kind = cells[outcome];
+        if !PointOutcome::KINDS.contains(&kind) {
+            return Err(format!(
+                "line {}: outcome {kind:?} is not a point outcome",
+                i + 1
+            ));
+        }
+        rows += 1;
+        if kind == "ok" {
+            events_dropped += cells[dropped]
+                .parse::<u64>()
+                .map_err(|e| format!("line {}: events_dropped {:?}: {e}", i + 1, cells[dropped]))?;
+        } else {
+            not_ok += 1;
+            if cells[dropped..error].iter().any(|c| !c.is_empty()) {
+                return Err(format!(
+                    "line {}: outcome {kind:?} must leave the measurement cells empty",
+                    i + 1
+                ));
+            }
+        }
+    }
+    Ok(Checked {
+        what: format!("sweep csv: {rows} points ({not_ok} not ok)"),
+        // The summary table carries no snapshots.
+        snapshots: usize::MAX,
+        events_dropped,
     })
 }
 
@@ -244,6 +307,9 @@ fn seq_gaps(text: &str) -> Vec<String> {
 
 fn check(path: &str, text: &str) -> Result<Checked, String> {
     if path.ends_with(".csv") {
+        if text.lines().next() == Some(SWEEP_CSV_HEADER) {
+            return check_sweep_csv(text);
+        }
         let log = TelemetryLog::from_csv(text)?;
         return Ok(Checked {
             what: format!(

@@ -18,7 +18,7 @@ use lpm_core::optimizer::{run_lpm_loop, LpmOptimizer};
 use lpm_harness::{run_sweep_with, ChaosConfig, FaultClass, SweepOptions, SweepSpec};
 use lpm_model::Grain;
 use lpm_sim::{FaultConfig, System, SystemConfig};
-use lpm_telemetry::{RingRecorder, RunSummary, TelemetryLog, DEFAULT_EVENT_CAPACITY};
+use lpm_telemetry::{NullRecorder, RingRecorder, RunSummary, TelemetryLog, DEFAULT_EVENT_CAPACITY};
 use lpm_trace::{Generator, SpecWorkload, Trace};
 
 /// Exit code for a `--keep-going` sweep that completed with one or more
@@ -543,7 +543,7 @@ fn cmd_online(a: &Args) -> Result<(), String> {
     let (log, telemetry) = if telemetry_out.is_some() {
         let mut rec = RingRecorder::new(capacity);
         let log = ctl
-            .try_run_recorded(&mut sys, 12, &mut rec)
+            .try_run(&mut sys, 12, &mut rec, None)
             .map_err(|e| e.to_string())?;
         let summary = RunSummary {
             total_cycles: sys.now(),
@@ -553,7 +553,10 @@ fn cmd_online(a: &Args) -> Result<(), String> {
         };
         (log, Some(rec.into_log(summary)))
     } else {
-        (ctl.try_run(&mut sys, 12).map_err(|e| e.to_string())?, None)
+        let log = ctl
+            .try_run(&mut sys, 12, &mut NullRecorder, None)
+            .map_err(|e| e.to_string())?;
+        (log, None)
     };
 
     // The human-readable report, built up front so it can be routed to

@@ -32,9 +32,7 @@
 
 use lpm_model::Grain;
 use lpm_sim::{Cmp, System};
-use lpm_telemetry::{
-    DecisionCase, Event, HealthCounters, MetricsSnapshot, NullRecorder, Recorder, SkipReason,
-};
+use lpm_telemetry::{DecisionCase, Event, HealthCounters, MetricsSnapshot, Recorder, SkipReason};
 
 use crate::design_space::HwConfig;
 use crate::error::LpmError;
@@ -262,19 +260,6 @@ impl OnlineLpmController {
         }
     }
 
-    /// Run `intervals` adaptation intervals on the live system, returning
-    /// the adaptation log. The system keeps executing its trace
-    /// throughout; each record reflects one window. Simulator failures
-    /// (deadlock, invalid reconfiguration) come back as [`LpmError`] with
-    /// the adaptation completed so far discarded.
-    pub fn try_run(
-        &mut self,
-        sys: &mut System,
-        intervals: usize,
-    ) -> Result<Vec<IntervalRecord>, LpmError> {
-        self.try_run_recorded(sys, intervals, &mut NullRecorder)
-    }
-
     /// Emit one [`Event::KnobChange`] per knob that differs between two
     /// configurations (the net effect of an interval's reconfigurations).
     fn emit_knob_changes<R: Recorder>(
@@ -303,32 +288,26 @@ impl OnlineLpmController {
         }
     }
 
-    /// Recorder-aware variant of [`OnlineLpmController::try_run`]
-    /// (telemetry). With the no-op `NullRecorder` the instrumentation
-    /// monomorphizes away and the run is bit-for-bit identical to
-    /// [`OnlineLpmController::try_run`]. With a real recorder, every
+    /// Run `intervals` adaptation intervals on the live system, returning
+    /// the adaptation log. The system keeps executing its trace
+    /// throughout; each record reflects one window. Simulator failures
+    /// (deadlock, invalid reconfiguration) come back as [`LpmError`] with
+    /// the adaptation completed so far discarded.
+    ///
+    /// Telemetry goes to `rec`. With the no-op `NullRecorder` the
+    /// instrumentation monomorphizes away; with a real recorder, every
     /// interval contributes a [`MetricsSnapshot`] and the event log
     /// captures decisions, knob changes, rollbacks, freezes, skipped
     /// windows, threshold crossings and injected faults.
-    pub fn try_run_recorded<R: Recorder>(
-        &mut self,
-        sys: &mut System,
-        intervals: usize,
-        rec: &mut R,
-    ) -> Result<Vec<IntervalRecord>, LpmError> {
-        self.try_run_recorded_budgeted(sys, intervals, rec, None)
-    }
-
-    /// Budgeted variant of [`OnlineLpmController::try_run_recorded`]:
-    /// when `cycle_budget` is `Some(cap)`, every stepping call — the
+    ///
+    /// When `cycle_budget` is `Some(cap)`, every stepping call — the
     /// measurement intervals and the reconfiguration-cost runs alike —
     /// refuses to advance the simulation past absolute cycle `cap` and
     /// fails with `LpmError::Sim(SimError::CycleBudgetExceeded)` instead.
     /// The cap is checked against the simulated clock inside the step
     /// loop, so the failure cycle is a pure function of the run — the
     /// deterministic per-point watchdog the sweep harness builds on.
-    /// `None` is exactly [`OnlineLpmController::try_run_recorded`].
-    pub fn try_run_recorded_budgeted<R: Recorder>(
+    pub fn try_run<R: Recorder>(
         &mut self,
         sys: &mut System,
         intervals: usize,
@@ -346,7 +325,8 @@ impl OnlineLpmController {
         // excluded from deterministic comparisons.
         let mut last_wall = R::ENABLED.then(lpm_telemetry::wall_now);
         for _ in 0..intervals {
-            sys.try_run_for_with_budget(self.interval_cycles, rec, cap)?;
+            sys.cmp_mut()
+                .try_run_for_with_budget(self.interval_cycles, rec, cap)?;
             let report = sys.report();
             if report.core.retired == 0 || report.l1.accesses == 0 {
                 // Nothing measurable this window: the trace drained, or a
@@ -430,7 +410,11 @@ impl OnlineLpmController {
                                 let streak = self.regress_streak;
                                 self.hw = best_hw;
                                 self.apply(sys)?;
-                                sys.try_run_for_with_budget(RECONFIG_COST_CYCLES, rec, cap)?;
+                                sys.cmp_mut().try_run_for_with_budget(
+                                    RECONFIG_COST_CYCLES,
+                                    rec,
+                                    cap,
+                                )?;
                                 self.health.rollbacks += 1;
                                 rolled_back = true;
                                 if R::ENABLED {
@@ -477,7 +461,8 @@ impl OnlineLpmController {
                 });
                 self.apply(sys)?;
                 // The paper's reconfiguration cost: the core pauses.
-                sys.try_run_for_with_budget(RECONFIG_COST_CYCLES, rec, cap)?;
+                sys.cmp_mut()
+                    .try_run_for_with_budget(RECONFIG_COST_CYCLES, rec, cap)?;
             }
             if R::ENABLED {
                 if !was_frozen && self.frozen {
@@ -559,6 +544,7 @@ impl OnlineLpmController {
 mod tests {
     use super::*;
     use lpm_sim::{System, SystemConfig};
+    use lpm_telemetry::NullRecorder;
     use lpm_trace::{Generator, SpecWorkload};
 
     fn online_run(intervals: usize) -> (Vec<IntervalRecord>, OnlineLpmController) {
@@ -568,7 +554,9 @@ mod tests {
         // Warm the caches before handing over to the controller.
         sys.cmp_mut().try_warm_up(30_000).unwrap();
         let mut ctl = OnlineLpmController::new(HwConfig::A, 20_000, Grain::Custom(0.5)).unwrap();
-        let log = ctl.try_run(&mut sys, intervals).unwrap();
+        let log = ctl
+            .try_run(&mut sys, intervals, &mut NullRecorder, None)
+            .unwrap();
         (log, ctl)
     }
 
@@ -586,7 +574,7 @@ mod tests {
         let (mut sys, mut ctl) = mk();
         let cap = sys.now() + 1_000;
         let err = ctl
-            .try_run_recorded_budgeted(&mut sys, 4, &mut lpm_telemetry::NullRecorder, Some(cap))
+            .try_run(&mut sys, 4, &mut NullRecorder, Some(cap))
             .unwrap_err();
         match err {
             LpmError::Sim(lpm_sim::SimError::CycleBudgetExceeded { budget, now }) => {
@@ -598,18 +586,18 @@ mod tests {
         // The same cap trips at the same cycle on a fresh identical run.
         let (mut sys2, mut ctl2) = mk();
         let err2 = ctl2
-            .try_run_recorded_budgeted(&mut sys2, 4, &mut lpm_telemetry::NullRecorder, Some(cap))
+            .try_run(&mut sys2, 4, &mut NullRecorder, Some(cap))
             .unwrap_err();
         assert_eq!(format!("{err}"), format!("{err2}"));
         // An ample budget is indistinguishable from no budget.
         let (mut sys_a, mut ctl_a) = mk();
         let log_a = ctl_a
-            .try_run_recorded_budgeted(&mut sys_a, 4, &mut lpm_telemetry::NullRecorder, None)
+            .try_run(&mut sys_a, 4, &mut NullRecorder, None)
             .unwrap();
         let (mut sys_b, mut ctl_b) = mk();
         let cap_b = sys_b.now() + 10_000_000;
         let log_b = ctl_b
-            .try_run_recorded_budgeted(&mut sys_b, 4, &mut lpm_telemetry::NullRecorder, Some(cap_b))
+            .try_run(&mut sys_b, 4, &mut NullRecorder, Some(cap_b))
             .unwrap();
         assert_eq!(log_a, log_b);
         assert_eq!(sys_a.now(), sys_b.now());
@@ -688,7 +676,7 @@ mod tests {
         sys.cmp_mut().try_warm_up(30_000).unwrap();
         let mut ctl =
             OnlineLpmController::new_hardened(HwConfig::A, 20_000, Grain::Custom(0.5)).unwrap();
-        let log = ctl.try_run(&mut sys, 10).unwrap();
+        let log = ctl.try_run(&mut sys, 10, &mut NullRecorder, None).unwrap();
         assert!(!log.is_empty());
         assert!(
             ctl.hw.mshrs > HwConfig::A.mshrs || ctl.hw.l1_ports > HwConfig::A.l1_ports,

@@ -201,13 +201,13 @@ fn evaluate_point_attempt(
     let (log, rec, attribution) = if profile {
         let mut prec = Profiled::new(rec);
         let log = ctl
-            .try_run_recorded_budgeted(&mut sys, spec.intervals, &mut prec, cap)
+            .try_run(&mut sys, spec.intervals, &mut prec, cap)
             .map_err(classify)?;
         let (inner, attr) = prec.into_parts();
         (log, inner, Some(Box::new(attr)))
     } else {
         let log = ctl
-            .try_run_recorded_budgeted(&mut sys, spec.intervals, &mut rec, cap)
+            .try_run(&mut sys, spec.intervals, &mut rec, cap)
             .map_err(classify)?;
         (log, rec, None)
     };
@@ -248,21 +248,6 @@ fn evaluate_point_attempt(
     ))
 }
 
-/// Evaluate one sweep point (single attempt, no retry/chaos driver) and
-/// return its result or a rendered error. This is the classic PR 3
-/// surface, kept for callers that want one point and a `Result`.
-///
-/// Every stream the evaluation consumes is derived from the *point's*
-/// seeds via [`derive_stream`] — nothing here may depend on which worker
-/// thread runs it, on wall-clock time, or on any global state. The one
-/// wall-clock-derived telemetry field (`wall_cycles_per_sec`) is zeroed
-/// before the log leaves this function.
-pub fn evaluate_point(point: &SweepPoint, spec: &SweepSpec) -> Result<PointResult, String> {
-    evaluate_point_attempt(point, spec, 0, EvalMode::default())
-        .map(|(result, _)| result)
-        .map_err(|f| f.describe(&point.label()))
-}
-
 /// How one point evaluation runs: whether cycle attribution is
 /// collected, and whether the simulator's per-cycle reference loop is
 /// forced instead of the (default, bit-identical) event-driven fast
@@ -283,32 +268,15 @@ struct EvalMode {
 /// `(spec, point)`, and the row's `harness_events` record each failure
 /// and retry in order.
 pub fn evaluate_row(point: &SweepPoint, spec: &SweepSpec) -> PointRow {
-    evaluate_row_profiled(point, spec, false).0
+    evaluate_row_mode(point, spec, EvalMode::default()).0
 }
 
-/// [`evaluate_row`] with optional cycle attribution. The attribution is
-/// a side channel: it rides *next to* the row, never inside it, so a
-/// profiled sweep's serialized rows stay byte-identical to an
-/// unprofiled one. Only a successful terminal attempt yields
-/// attribution; failed/quarantined rows return `None`.
-pub fn evaluate_row_profiled(
-    point: &SweepPoint,
-    spec: &SweepSpec,
-    profile: bool,
-) -> (PointRow, Option<Box<CycleAttribution>>) {
-    evaluate_row_mode(
-        point,
-        spec,
-        EvalMode {
-            profile,
-            reference: false,
-        },
-    )
-}
-
-/// [`evaluate_row_profiled`] with the full [`EvalMode`] (crate-internal:
-/// the reference-stepping knob reaches here from
-/// [`SweepOptions::reference_stepping`]).
+/// [`evaluate_row`] under an [`EvalMode`], with the cycle attribution
+/// a profiled evaluation collects. The attribution is a side channel:
+/// it rides *next to* the row, never inside it, so a profiled sweep's
+/// serialized rows stay byte-identical to an unprofiled one. Only a
+/// successful terminal attempt yields attribution; failed/quarantined
+/// rows return `None`.
 fn evaluate_row_mode(
     point: &SweepPoint,
     spec: &SweepSpec,
@@ -903,8 +871,13 @@ mod tests {
     fn evaluate_point_is_deterministic_and_wall_clock_free() {
         let spec = tiny_spec();
         let p = &spec.points()[0];
-        let a = evaluate_point(p, &spec).unwrap();
-        let b = evaluate_point(p, &spec).unwrap();
+        let eval = || {
+            evaluate_point_attempt(p, &spec, 0, EvalMode::default())
+                .ok()
+                .unwrap()
+                .0
+        };
+        let (a, b) = (eval(), eval());
         assert_eq!(a, b);
         assert!(a.intervals_run > 0);
         assert!(a

@@ -75,8 +75,7 @@ pub use checkpoint::{
     inspect_journal, load_journal, load_journal_for_resume, CheckpointJournal, Journal, JournalInfo,
 };
 pub use engine::{
-    evaluate_point, evaluate_row, evaluate_row_profiled, run_sweep, run_sweep_profiled,
-    run_sweep_with, SweepOptions, SweepProfile,
+    evaluate_row, run_sweep, run_sweep_profiled, run_sweep_with, SweepOptions, SweepProfile,
 };
 pub use lpm_vfs::{IoChaosConfig, Vfs, VfsError, VfsErrorKind, VfsFile};
 pub use outcome::{PointOutcome, PointRow};
@@ -84,5 +83,5 @@ pub use point::{
     derive_stream, ChaosConfig, FaultClass, PointResult, SweepPoint, SweepSpec, SALT_RETRY,
 };
 pub use queue::WorkStealingQueue;
-pub use report::SweepReport;
+pub use report::{SweepReport, SWEEP_CSV_HEADER};
 pub use specio::{spec_from_json, spec_to_json, SPEC_WIRE_VERSION};

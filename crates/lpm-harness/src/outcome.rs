@@ -54,6 +54,9 @@ pub enum PointOutcome {
 }
 
 impl PointOutcome {
+    /// Every tag [`PointOutcome::kind`] returns.
+    pub const KINDS: [&'static str; 5] = ["ok", "failed", "panicked", "timed-out", "quarantined"];
+
     /// Stable kind tag used in report columns and checkpoint rows.
     pub fn kind(&self) -> &'static str {
         match self {

@@ -18,6 +18,14 @@ use lpm_telemetry::{TelemetryLog, Value};
 use crate::outcome::{PointOutcome, PointRow};
 use crate::point::PointResult;
 
+/// The first line of [`SweepReport::to_csv`]: one column per cell of
+/// every row. The cells from `events_dropped` up to `error` are the
+/// measurement cells a non-ok row leaves empty.
+pub const SWEEP_CSV_HEADER: &str = "index,label,config,workload,seed,fault_seed,outcome,\
+    attempts,events_dropped,intervals_run,ipc_first,ipc_last,lpmr1_first,lpmr1_last,\
+    budget_met,total_cycles,final_issue_width,final_iw_size,final_rob_size,final_l1_ports,\
+    final_mshrs,final_l2_banks,error";
+
 /// A completed sweep: one [`PointRow`] per point, in point-index
 /// (spec enumeration) order.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,12 +160,7 @@ impl SweepReport {
     /// and outcome columns and leave the measurement cells empty; the
     /// trailing `error` cell is sanitized to stay one-line, one-cell.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "index,label,config,workload,seed,fault_seed,outcome,attempts,events_dropped,\
-             intervals_run,ipc_first,ipc_last,lpmr1_first,lpmr1_last,budget_met,total_cycles,\
-             final_issue_width,final_iw_size,final_rob_size,final_l1_ports,final_mshrs,\
-             final_l2_banks,error\n",
-        );
+        let mut out = format!("{SWEEP_CSV_HEADER}\n");
         for row in &self.rows {
             let fault = row
                 .point

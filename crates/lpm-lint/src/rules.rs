@@ -122,7 +122,7 @@ pub fn catalog() -> &'static [Rule] {
                 "to_text",
                 "fingerprint",
                 "append",
-                "atomic_write",
+                "atomic_write_with",
                 "persist_manifest",
             ],
         },
@@ -142,7 +142,7 @@ pub fn catalog() -> &'static [Rule] {
                 "to_text",
                 "fingerprint",
                 "append",
-                "atomic_write",
+                "atomic_write_with",
                 "persist_manifest",
             ],
         },

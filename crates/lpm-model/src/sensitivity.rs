@@ -33,17 +33,6 @@ impl Dimension {
         Dimension::PureMissPenalty,
         Dimension::MissConcurrency,
     ];
-
-    /// Short display name matching the paper's symbols.
-    pub fn symbol(&self) -> &'static str {
-        match self {
-            Dimension::HitTime => "H",
-            Dimension::HitConcurrency => "CH",
-            Dimension::PureMissRate => "pMR",
-            Dimension::PureMissPenalty => "pAMP",
-            Dimension::MissConcurrency => "CM",
-        }
-    }
 }
 
 /// Partial derivatives of C-AMAT (Eq. 2) with respect to each parameter.

@@ -304,17 +304,12 @@ impl StateDir {
     }
 }
 
-/// Write `text` to `path` atomically: tmp file in the same directory,
-/// fsync, rename over the target, fsync the directory. A kill at any
-/// instruction leaves either the old bytes or the new bytes — never a
-/// torn file.
-pub fn atomic_write(path: &Path, text: &str) -> Result<(), String> {
-    atomic_write_with(&Vfs::real(), path, text)
-}
-
-/// [`atomic_write`] through an explicit [`Vfs`], so a fault schedule
-/// can interrupt the sequence at any instruction and the oracle can
-/// check the old-or-new invariant at every crash point.
+/// Write `text` to `path` atomically through `vfs`: tmp file in the
+/// same directory, fsync, rename over the target, fsync the directory.
+/// A kill at any instruction leaves either the old bytes or the new
+/// bytes — never a torn file. A faulted [`Vfs`] can interrupt the
+/// sequence at any instruction, so a test can check that invariant at
+/// every crash point.
 pub fn atomic_write_with(vfs: &Vfs, path: &Path, text: &str) -> Result<(), String> {
     let parent = path
         .parent()
@@ -500,8 +495,8 @@ mod tests {
     fn atomic_write_replaces_and_leaves_no_tmp() {
         let d = tmpdir("atomic");
         let p = d.join("m.json");
-        atomic_write(&p, "one\n").unwrap();
-        atomic_write(&p, "two\n").unwrap();
+        atomic_write_with(&Vfs::real(), &p, "one\n").unwrap();
+        atomic_write_with(&Vfs::real(), &p, "two\n").unwrap();
         assert_eq!(fs::read_to_string(&p).unwrap(), "two\n");
         assert!(!p.with_extension("tmp").exists());
         let _ = fs::remove_dir_all(&d);

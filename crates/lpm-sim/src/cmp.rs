@@ -65,8 +65,8 @@ struct LevelReq {
 }
 
 /// How many cycles without any retirement before the simulator assumes a
-/// deadlock (a simulator bug, not a modelling outcome). [`Cmp::try_step`]
-/// reports it as [`SimError::Deadlock`].
+/// deadlock (a simulator bug, not a modelling outcome). Every real step
+/// ([`Cmp::try_step_with`]) checks it and reports [`SimError::Deadlock`].
 const WATCHDOG_CYCLES: u64 = 500_000;
 
 /// The N-core chip multiprocessor. The shared side of the hierarchy is a
@@ -305,11 +305,6 @@ impl Cmp {
         (self.skipped_spans, self.skipped_cycles)
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Current cycle.
     pub fn now(&self) -> u64 {
         self.now
@@ -345,11 +340,6 @@ impl Cmp {
         self.shared.len()
     }
 
-    /// Analyzer counters of shared level `j` (0 = L2).
-    pub fn shared_counters(&self, j: usize) -> LayerCounters {
-        self.shared_analyzers[j].counters()
-    }
-
     /// L3 analyzer counters, when an L3 is configured.
     pub fn l3_counters(&self) -> Option<LayerCounters> {
         self.shared_analyzers.get(1).map(|a| a.counters())
@@ -370,11 +360,6 @@ impl Cmp {
         self.shared[0].stats()
     }
 
-    /// Functional stats of shared level `j` (0 = L2).
-    pub fn shared_stats(&self, j: usize) -> &lpm_cache::CacheStats {
-        self.shared[j].stats()
-    }
-
     /// Functional stats of the DRAM controller.
     pub fn dram_stats(&self) -> &lpm_dram::DramStats {
         self.dram.stats()
@@ -383,7 +368,8 @@ impl Cmp {
     /// Runtime reconfiguration of core `i`'s out-of-order structures
     /// (reconfigurable-architecture support; see case study I). The paper
     /// charges four cycles per reconfiguration operation — callers model
-    /// that by spending [`Cmp::try_run_for`] cycles at the decision point.
+    /// that by spending [`Cmp::try_run_for_with_budget`] cycles at the
+    /// decision point.
     /// An invalid `cfg` is [`SimError::InvalidConfig`].
     pub fn reconfigure_core(&mut self, i: usize, cfg: CoreConfig) -> Result<(), SimError> {
         cfg.validate().map_err(SimError::InvalidConfig)?;
@@ -455,14 +441,7 @@ impl Cmp {
     /// warmup cycle count.
     pub fn try_warm_up(&mut self, instructions: u64) -> Result<u64, SimError> {
         let target = self.cores[0].retired() + instructions;
-        while self.cores[0].retired() < target && !self.all_finished() {
-            // No explicit cap: the watchdog horizon bounds every span
-            // while any core is unfinished (the loop guard guarantees).
-            self.advance_with(&mut NullRecorder, u64::MAX)?;
-        }
-        let warmup_cycles = self.now;
-        self.reset_measurement();
-        Ok(warmup_cycles)
+        self.warm_up_while(|s| s.cores[0].retired() < target && !s.all_finished())
     }
 
     /// Run until **every** core has retired `instructions` more
@@ -471,39 +450,42 @@ impl Cmp {
     /// where cores progress at very different rates. Returns the warmup
     /// cycle count.
     pub fn try_warm_up_all(&mut self, instructions: u64) -> Result<u64, SimError> {
-        let targets: Vec<u64> = self
-            .cores
-            .iter()
-            .map(|c| c.retired() + instructions)
-            .collect();
-        loop {
-            let behind = self
-                .cores
-                .iter()
-                .zip(&targets)
-                .any(|(c, &t)| !c.finished() && c.retired() < t);
-            if !behind {
-                break;
-            }
-            self.advance_with(&mut NullRecorder, u64::MAX)?;
-        }
-        let warmup_cycles = self.now;
-        self.reset_measurement();
-        Ok(warmup_cycles)
+        let targets = self.retire_targets(instructions);
+        self.warm_up_while(|s| s.behind(&targets))
     }
 
-    /// Advance one cycle. Returns [`SimError::Deadlock`] if no core has
-    /// retired an instruction for longer than the watchdog horizon.
-    pub fn try_step(&mut self) -> Result<(), SimError> {
-        self.try_step_with(&mut NullRecorder)
+    /// Step while `keep` holds, then reset measurement windows; returns
+    /// the warmup cycle count. No explicit cap: the watchdog horizon
+    /// bounds every span while any core is unfinished, which every
+    /// warm-up predicate implies.
+    fn warm_up_while(&mut self, keep: impl Fn(&Self) -> bool) -> Result<u64, SimError> {
+        self.run_while(&mut NullRecorder, u64::MAX, keep)?;
+        self.reset_measurement();
+        Ok(self.now)
+    }
+
+    /// Each core's retirement count `instructions` from now.
+    fn retire_targets(&self, instructions: u64) -> Vec<u64> {
+        self.cores
+            .iter()
+            .map(|c| c.retired() + instructions)
+            .collect()
+    }
+
+    /// Whether some unfinished core has not reached its target yet.
+    fn behind(&self, targets: &[u64]) -> bool {
+        self.cores
+            .iter()
+            .zip(targets)
+            .any(|(c, &t)| !c.finished() && c.retired() < t)
     }
 
     /// Advance one cycle, emitting into a telemetry recorder: per-cycle
     /// occupancy samples (MSHRs, ROB, DRAM banks) and fault-onset events
     /// carrying the injector's seed. With [`NullRecorder`] every
     /// instrumentation block is guarded by the constant `R::ENABLED` and
-    /// monomorphizes away, leaving [`Cmp::try_step`] bit-for-bit
-    /// identical to the uninstrumented simulator.
+    /// monomorphizes away, leaving the step bit-for-bit identical to the
+    /// uninstrumented simulator.
     pub fn try_step_with<R: Recorder>(&mut self, rec: &mut R) -> Result<(), SimError> {
         let now = self.now;
 
@@ -972,51 +954,46 @@ impl Cmp {
         rec.attr_sample(&s, k);
     }
 
+    /// The one stepping loop every run method uses: advance by quanta —
+    /// never past cycle `cap` — while `now < cap` and `keep` holds.
+    /// `keep` is checked before every quantum and never once the cap is
+    /// reached.
+    fn run_while<R: Recorder>(
+        &mut self,
+        rec: &mut R,
+        cap: u64,
+        keep: impl Fn(&Self) -> bool,
+    ) -> Result<(), SimError> {
+        while self.now < cap && keep(self) {
+            self.advance_with(rec, cap)?;
+        }
+        Ok(())
+    }
+
     /// Run until every core finishes or `max_cycles` elapse, then drain
     /// the memory system (posted stores may still be in flight when the
     /// last instruction retires; their fills, evictions and writebacks
     /// complete during the drain). Returns whether all cores finished.
     pub fn try_run(&mut self, max_cycles: u64) -> Result<bool, SimError> {
-        while self.now < max_cycles {
-            if self.all_finished() {
-                break;
-            }
-            self.advance_with(&mut NullRecorder, max_cycles)?;
-        }
+        self.run_while(&mut NullRecorder, max_cycles, |s| !s.all_finished())?;
         if !self.all_finished() {
             return Ok(false);
         }
         // Bounded drain: every in-flight access resolves within a DRAM
-        // round trip plus queueing. The fast path leaps the dead cycles
-        // between DRAM events instead of ticking them one by one.
+        // round trip plus queueing.
         let drain_budget = self.now + 1_000_000;
-        while self.now < drain_budget && !self.memory_idle() {
-            self.advance_with(&mut NullRecorder, drain_budget)?;
-        }
+        self.run_while(&mut NullRecorder, drain_budget, |s| !s.memory_idle())?;
         Ok(true)
     }
 
-    /// Run exactly `cycles` more cycles (finished cores idle).
-    pub fn try_run_for(&mut self, cycles: u64) -> Result<(), SimError> {
-        self.try_run_for_with(cycles, &mut NullRecorder)
-    }
-
-    /// Recorder-aware variant of [`Cmp::try_run_for`]: the budgeted loop
-    /// with a cap no run can reach.
-    pub fn try_run_for_with<R: Recorder>(
-        &mut self,
-        cycles: u64,
-        rec: &mut R,
-    ) -> Result<(), SimError> {
-        self.try_run_for_with_budget(cycles, rec, u64::MAX)
-    }
-
-    /// Budgeted variant of [`Cmp::try_run_for_with`]: run `cycles` more
-    /// cycles, but refuse to step past the absolute simulated-cycle cap
-    /// `budget`. The cap is checked before every step, so the error fires
-    /// at exactly the same simulated cycle regardless of how the caller
+    /// Run `cycles` more cycles (finished cores idle), emitting into
+    /// `rec`, but refuse to step past the absolute simulated-cycle cap
+    /// `budget`: [`SimError::CycleBudgetExceeded`] at cycle `budget`, or
+    /// at once when `budget` has already passed and `cycles > 0`. The
+    /// loop itself stops at the cap, so the error fires at the same
+    /// simulated cycle in both stepping modes and however the caller
     /// chunks its runs — the deterministic half of the sweep harness's
-    /// per-point watchdog.
+    /// per-point watchdog. `u64::MAX` is no budget.
     pub fn try_run_for_with_budget<R: Recorder>(
         &mut self,
         cycles: u64,
@@ -1024,46 +1001,29 @@ impl Cmp {
         budget: u64,
     ) -> Result<(), SimError> {
         let end = self.now + cycles;
-        while self.now < end {
-            if self.now >= budget {
-                return Err(SimError::CycleBudgetExceeded {
-                    budget,
-                    now: self.now,
-                });
-            }
-            // Idle spans are capped at the budget too, so the error
-            // fires at the same simulated cycle as the reference loop.
-            self.advance_with(rec, end.min(budget))?;
+        self.run_while(rec, end.min(budget), |_| true)?;
+        if self.now < end {
+            return Err(SimError::CycleBudgetExceeded {
+                budget,
+                now: self.now,
+            });
         }
         Ok(())
     }
 
     /// Run until every core has retired `instructions` more instructions
     /// (or finished), within `max_cycles`. Returns whether all reached
-    /// their target. The fixed-work-per-core measurement window of the
-    /// scheduling study.
+    /// their target before the cap; targets met by the quantum that
+    /// reaches the cap count as missed. The fixed-work-per-core
+    /// measurement window of the scheduling study.
     pub fn try_run_until_all_retired(
         &mut self,
         instructions: u64,
         max_cycles: u64,
     ) -> Result<bool, SimError> {
-        let targets: Vec<u64> = self
-            .cores
-            .iter()
-            .map(|c| c.retired() + instructions)
-            .collect();
-        while self.now < max_cycles {
-            let behind = self
-                .cores
-                .iter()
-                .zip(&targets)
-                .any(|(c, &t)| !c.finished() && c.retired() < t);
-            if !behind {
-                return Ok(true);
-            }
-            self.advance_with(&mut NullRecorder, max_cycles)?;
-        }
-        Ok(false)
+        let targets = self.retire_targets(instructions);
+        self.run_while(&mut NullRecorder, max_cycles, |s| s.behind(&targets))?;
+        Ok(self.now < max_cycles)
     }
 }
 
@@ -1191,8 +1151,31 @@ mod tests {
     #[test]
     fn run_for_advances_exactly() {
         let mut cmp = build(vec![slot(32)], vec![tiny_trace(100_000)]).unwrap();
-        cmp.try_run_for(500).unwrap();
+        cmp.try_run_for_with_budget(500, &mut NullRecorder, u64::MAX)
+            .unwrap();
         assert_eq!(cmp.now(), 500);
+    }
+
+    #[test]
+    fn until_all_retired_misses_targets_met_at_the_cap() {
+        for reference in [false, true] {
+            let make = || {
+                let mut cmp = build(vec![slot(4), slot(32)], vec![tiny_trace(20_000); 2]).unwrap();
+                cmp.set_reference_stepping(reference);
+                cmp
+            };
+            // The cycle at which both cores reach their targets.
+            let mut free = make();
+            assert!(free.try_run_until_all_retired(3_000, u64::MAX).unwrap());
+            let met = free.now();
+            // A cap at that cycle ends the loop before it can re-check.
+            let mut at_cap = make();
+            assert!(!at_cap.try_run_until_all_retired(3_000, met).unwrap());
+            assert_eq!(at_cap.now(), met);
+            let mut past_cap = make();
+            assert!(past_cap.try_run_until_all_retired(3_000, met + 1).unwrap());
+            assert_eq!(past_cap.now(), met);
+        }
     }
 
     #[test]
@@ -1436,7 +1419,8 @@ mod mlp_partition_tests {
     fn partition_protects_the_latency_sensitive_core() {
         let victim_progress = |quota: Option<u32>| -> u64 {
             let mut cmp = build(quota);
-            cmp.try_run_for(400_000).unwrap();
+            cmp.try_run_for_with_budget(400_000, &mut NullRecorder, u64::MAX)
+                .unwrap();
             cmp.retired(1)
         };
         let free = victim_progress(None);
@@ -1451,7 +1435,7 @@ mod mlp_partition_tests {
     fn quota_bounds_are_respected_and_balanced() {
         let mut cmp = build(Some(2));
         for _ in 0..100_000 {
-            cmp.try_step().unwrap();
+            cmp.try_step_with(&mut NullRecorder).unwrap();
             assert!(
                 cmp.l2_outstanding.iter().all(|&o| o <= 2),
                 "quota violated: {:?}",
@@ -1462,7 +1446,7 @@ mod mlp_partition_tests {
         // drain; outstanding counters must return to zero.
         let mut spare = 0;
         while spare < 200_000 && cmp.l2_outstanding.iter().any(|&o| o > 0) {
-            cmp.try_step().unwrap();
+            cmp.try_step_with(&mut NullRecorder).unwrap();
             spare += 1;
         }
         // (cores keep issuing, so just check the invariant held throughout)

@@ -25,12 +25,17 @@
 //!
 //! The simulator is instrumented for `lpm-telemetry`: recorder-aware
 //! entry points ([`cmp::Cmp::try_step_with`],
-//! [`cmp::Cmp::try_run_for_with`], [`system::System::try_run_for_with`])
-//! emit per-cycle occupancy samples (MSHRs, ROB, DRAM banks) and typed
-//! fault-onset events carrying the injector seed. With the no-op
-//! `NullRecorder` the instrumentation monomorphizes away and the plain
-//! entry points are bit-for-bit identical to the uninstrumented
-//! simulator.
+//! [`cmp::Cmp::try_run_for_with_budget`],
+//! [`system::System::try_run_for_with`]) emit per-cycle occupancy
+//! samples (MSHRs, ROB, DRAM banks) and typed fault-onset events
+//! carrying the injector seed. With the no-op `NullRecorder` the
+//! instrumentation monomorphizes away and a run is bit-for-bit
+//! identical to the uninstrumented simulator.
+//!
+//! Every run loop — warm-up, run-and-drain, run-for with a cycle budget,
+//! run until every core retires its share — is one private loop in
+//! [`cmp::Cmp`] that advances by fast-path quanta until its cap or its
+//! condition says stop.
 //!
 //! # Example
 //!

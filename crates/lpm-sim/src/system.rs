@@ -106,30 +106,14 @@ impl System {
         self.cmp.try_run(max_cycles)
     }
 
-    /// Advance exactly `cycles`.
-    pub fn try_run_for(&mut self, cycles: u64) -> Result<(), SimError> {
-        self.cmp.try_run_for(cycles)
-    }
-
-    /// Recorder-aware variant of [`System::try_run_for`] (telemetry).
+    /// Advance exactly `cycles`, emitting into `rec` (telemetry); a
+    /// budgeted run goes through [`Cmp::try_run_for_with_budget`].
     pub fn try_run_for_with<R: lpm_telemetry::Recorder>(
         &mut self,
         cycles: u64,
         rec: &mut R,
     ) -> Result<(), SimError> {
-        self.cmp.try_run_for_with(cycles, rec)
-    }
-
-    /// Budgeted variant of [`System::try_run_for_with`]: fails with
-    /// [`SimError::CycleBudgetExceeded`] instead of stepping past the
-    /// absolute simulated-cycle cap `budget`.
-    pub fn try_run_for_with_budget<R: lpm_telemetry::Recorder>(
-        &mut self,
-        cycles: u64,
-        rec: &mut R,
-        budget: u64,
-    ) -> Result<(), SimError> {
-        self.cmp.try_run_for_with_budget(cycles, rec, budget)
+        self.cmp.try_run_for_with_budget(cycles, rec, u64::MAX)
     }
 
     /// Enable fault injection per `cfg` (see [`crate::fault`]).

@@ -13,7 +13,7 @@
 use lpm_cache::CacheConfig;
 use lpm_cpu::CoreConfig;
 use lpm_dram::DramConfig;
-use lpm_sim::{Cmp, CoreSlot, FaultConfig};
+use lpm_sim::{Cmp, CoreSlot, FaultConfig, SimError};
 use lpm_telemetry::{AttrSample, CycleAccum, CycleSample, Event, MetricsSnapshot, Recorder};
 use lpm_trace::{Generator, Trace};
 use proptest::prelude::*;
@@ -138,7 +138,8 @@ struct Side {
 
 /// Drive one simulator through every run-loop flavour the fast path
 /// touches: warmup (measurement reset mid-run), chunked budgeted runs
-/// with a live recorder, and a run-to-completion with memory drain.
+/// with a live recorder, the budget's edges, and a run-to-completion
+/// with memory drain.
 fn run_side(s: &Scenario, reference: bool) -> Side {
     let mut cmp = build(s);
     cmp.set_reference_stepping(reference);
@@ -150,6 +151,29 @@ fn run_side(s: &Scenario, reference: bool) -> Side {
             "chunk: {:?}",
             cmp.try_run_for_with_budget(5_000, &mut rec, s.budget)
         ));
+    }
+    // The stepping loop's edges, relative to the current cycle `t`:
+    // zero cycles and a 100-cycle run with the budget already passed,
+    // then budgets below and exactly at the end of a 100-cycle run.
+    let t = cmp.now();
+    let edges = [
+        (0, t, Ok(t)),
+        (100, t, Err(t)),
+        (100, t + 50, Err(t + 50)),
+        (100, t + 150, Ok(t + 150)),
+    ];
+    for (cycles, budget, want) in edges {
+        let got = cmp.try_run_for_with_budget(cycles, &mut rec, budget);
+        let got_at = match got {
+            Ok(()) => Ok(cmp.now()),
+            Err(SimError::CycleBudgetExceeded { budget: b, now }) if b == budget => {
+                assert_eq!(now, cmp.now(), "error cycle is not the clock");
+                Err(now)
+            }
+            Err(e) => panic!("{cycles} cycles, budget {budget}: {e}"),
+        };
+        assert_eq!(got_at, want, "{cycles} cycles from {t}, budget {budget}");
+        phase_results.push(format!("edge: {got_at:?}"));
     }
     phase_results.push(format!("run: {:?}", cmp.try_run(2_000_000)));
     Side {

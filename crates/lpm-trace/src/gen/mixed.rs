@@ -37,16 +37,6 @@ impl Mix {
         }
     }
 
-    /// Pure streaming.
-    pub fn all_stream() -> Self {
-        Self::new(1.0, 0.0, 0.0)
-    }
-
-    /// Pure random.
-    pub fn all_random() -> Self {
-        Self::new(0.0, 1.0, 0.0)
-    }
-
     /// Pure chase.
     pub fn all_chase() -> Self {
         Self::new(0.0, 0.0, 1.0)

@@ -460,11 +460,6 @@ impl Vfs {
         }
     }
 
-    /// Whether this handle injects faults.
-    pub fn is_faulted(&self) -> bool {
-        self.fault.is_some()
-    }
-
     /// Create (or truncate) a file for writing.
     pub fn create(&self, path: &Path) -> Result<VfsFile, VfsError> {
         if let Some(shared) = &self.fault {

@@ -88,6 +88,7 @@ pub mod prelude {
     pub use lpm_sim::{
         Cmp, CoreSlot, FaultConfig, FaultStats, SimError, System, SystemConfig, SystemReport,
     };
+    pub use lpm_telemetry::NullRecorder;
     pub use lpm_trace::{Generator, Instr, Op, SpecWorkload, Trace};
 }
 

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>9} {:>7} {:>7} {:>6} {:>6}  {:<20} {:>4} {:>5}",
         "cycle", "LPMR1", "T1", "IPC", "budget", "action", "IW", "MSHR"
     );
-    let log = ctl.try_run(&mut sys, 16)?;
+    let log = ctl.try_run(&mut sys, 16, &mut NullRecorder, None)?;
     for r in &log {
         println!(
             "{:>9} {:>7.2} {:>7.2} {:>6.2} {:>6}  {:<20} {:>4} {:>5}",

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>9} {:>7} {:>7} {:>6}  {:<20} {:>4} {:>5}",
         "cycle", "LPMR1", "T1", "IPC", "action", "IW", "MSHR"
     );
-    let log = ctl.try_run(&mut sys, 30)?;
+    let log = ctl.try_run(&mut sys, 30, &mut NullRecorder, None)?;
     let mut grew = 0;
     let mut shed = 0;
     for r in &log {

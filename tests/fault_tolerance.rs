@@ -33,7 +33,7 @@ fn every_fault_class_runs_without_panicking() {
     for (name, make) in FAULT_CLASSES {
         let mut sys = small_system(1);
         sys.enable_faults(make(42));
-        sys.try_run_for(120_000)
+        sys.try_run_for_with(120_000, &mut NullRecorder)
             .unwrap_or_else(|e| panic!("{name}: faulted run failed: {e}"));
         let report = sys.report();
         assert!(report.core.cycles > 0, "{name}: no progress under faults");
@@ -62,7 +62,7 @@ fn hardened_controller_survives_every_fault_class() {
         let mut ctl = OnlineLpmController::new_hardened(HwConfig::A, 10_000, Grain::Custom(0.5))
             .expect("valid interval");
         let log = ctl
-            .try_run(&mut sys, 10)
+            .try_run(&mut sys, 10, &mut NullRecorder, None)
             .unwrap_or_else(|e| panic!("{name}: hardened controller failed: {e}"));
         assert!(!log.is_empty(), "{name}: controller recorded no intervals");
         // Convergence: on a memory-hungry workload the controller either
@@ -80,7 +80,8 @@ fn disabling_injection_is_bit_for_bit_identical_to_clean() {
     let run = |prep: &dyn Fn(&mut System)| {
         let mut sys = small_system(9);
         prep(&mut sys);
-        sys.try_run_for(80_000).expect("run");
+        sys.try_run_for_with(80_000, &mut NullRecorder)
+            .expect("run");
         format!("{:?}", sys.report())
     };
     let clean = run(&|_| {});
@@ -98,7 +99,8 @@ fn same_seed_replays_the_same_fault_schedule() {
     let run = |seed: u64| {
         let mut sys = small_system(3);
         sys.enable_faults(FaultConfig::all(seed));
-        sys.try_run_for(120_000).expect("run");
+        sys.try_run_for_with(120_000, &mut NullRecorder)
+            .expect("run");
         (
             format!("{:?}", sys.report()),
             format!("{:?}", sys.fault_stats().unwrap()),
@@ -148,7 +150,7 @@ proptest! {
         let mut sys = System::try_new_looping(SystemConfig::default(), trace, 10, 2)
             .expect("valid config");
         sys.enable_faults(FaultConfig::all(seed));
-        prop_assert!(sys.try_run_for(50_000).is_ok());
+        prop_assert!(sys.try_run_for_with(50_000, &mut NullRecorder).is_ok());
         prop_assert!(sys.fault_stats().is_some());
     }
 }
@@ -166,7 +168,7 @@ proptest! {
         sys.enable_faults(FaultConfig::all(seed));
         let mut ctl = OnlineLpmController::new_hardened(HwConfig::A, 5_000, Grain::Custom(0.5))
             .expect("valid interval");
-        let log = ctl.try_run(&mut sys, 5);
+        let log = ctl.try_run(&mut sys, 5, &mut NullRecorder, None);
         prop_assert!(log.is_ok());
         let h = ctl.health();
         prop_assert!(h.degenerate_windows + h.sensor_faults <= 5 + 1);

@@ -1,15 +1,12 @@
 //! End-to-end telemetry guarantees, asserted over the real simulator:
 //!
-//! 1. The no-op `NullRecorder` path is bit-for-bit identical to the
-//!    plain `try_run` entry point (the zero-cost-when-disabled
-//!    contract).
-//! 2. Recording through a `RingRecorder` *observes* the run without
-//!    perturbing it: every `IntervalRecord` matches the unrecorded run
-//!    exactly, including faulted runs (the fault schedule must not
+//! 1. Recording through a `RingRecorder` *observes* the run without
+//!    perturbing it: every `IntervalRecord` matches the `NullRecorder`
+//!    run exactly, including faulted runs (the fault schedule must not
 //!    shift when onset logging is on).
-//! 3. Fault-injection events carry the seed and onset cycle, and the
+//! 2. Fault-injection events carry the seed and onset cycle, and the
 //!    event log agrees with the injector's own totals.
-//! 4. A recorded run exports to JSONL and CSV and round-trips.
+//! 3. A recorded run exports to JSONL and CSV and round-trips.
 
 use lpm_core::design_space::HwConfig;
 use lpm_core::online::{IntervalRecord, OnlineLpmController};
@@ -70,29 +67,19 @@ fn assert_logs_identical(a: &[IntervalRecord], b: &[IntervalRecord]) {
 }
 
 #[test]
-fn null_recorder_matches_plain_run_bit_for_bit() {
+fn ring_recorder_observes_without_perturbing() {
     let (mut sys_a, mut ctl_a) = fresh_run(None);
-    let log_a = ctl_a.try_run(&mut sys_a, INTERVALS).unwrap();
+    let log_a = ctl_a
+        .try_run(&mut sys_a, INTERVALS, &mut NullRecorder, None)
+        .unwrap();
     let (mut sys_b, mut ctl_b) = fresh_run(None);
+    let mut rec = RingRecorder::default();
     let log_b = ctl_b
-        .try_run_recorded(&mut sys_b, INTERVALS, &mut NullRecorder)
+        .try_run(&mut sys_b, INTERVALS, &mut rec, None)
         .unwrap();
     assert_logs_identical(&log_a, &log_b);
     assert_eq!(sys_a.now(), sys_b.now());
     assert_eq!(ctl_a.hw, ctl_b.hw);
-}
-
-#[test]
-fn ring_recorder_observes_without_perturbing() {
-    let (mut sys_a, mut ctl_a) = fresh_run(None);
-    let log_a = ctl_a.try_run(&mut sys_a, INTERVALS).unwrap();
-    let (mut sys_b, mut ctl_b) = fresh_run(None);
-    let mut rec = RingRecorder::default();
-    let log_b = ctl_b
-        .try_run_recorded(&mut sys_b, INTERVALS, &mut rec)
-        .unwrap();
-    assert_logs_identical(&log_a, &log_b);
-    assert_eq!(sys_a.now(), sys_b.now());
     // One snapshot per recorded interval, one decision event each.
     assert_eq!(rec.snapshots().len(), log_b.len());
     let decisions = rec.events().filter(|e| e.kind() == "decision").count();
@@ -102,12 +89,14 @@ fn ring_recorder_observes_without_perturbing() {
 #[test]
 fn ring_recorder_does_not_shift_the_fault_schedule() {
     let (mut sys_a, mut ctl_a) = fresh_run(Some(42));
-    let log_a = ctl_a.try_run(&mut sys_a, INTERVALS).unwrap();
+    let log_a = ctl_a
+        .try_run(&mut sys_a, INTERVALS, &mut NullRecorder, None)
+        .unwrap();
     let stats_a = sys_a.fault_stats().unwrap();
     let (mut sys_b, mut ctl_b) = fresh_run(Some(42));
     let mut rec = RingRecorder::default();
     let log_b = ctl_b
-        .try_run_recorded(&mut sys_b, INTERVALS, &mut rec)
+        .try_run(&mut sys_b, INTERVALS, &mut rec, None)
         .unwrap();
     let stats_b = sys_b.fault_stats().unwrap();
     assert_logs_identical(&log_a, &log_b);
@@ -118,7 +107,7 @@ fn ring_recorder_does_not_shift_the_fault_schedule() {
 fn fault_events_carry_seed_and_cycle_and_match_injector_totals() {
     let (mut sys, mut ctl) = fresh_run(Some(7));
     let mut rec = RingRecorder::default();
-    ctl.try_run_recorded(&mut sys, INTERVALS, &mut rec).unwrap();
+    ctl.try_run(&mut sys, INTERVALS, &mut rec, None).unwrap();
     let stats = sys.fault_stats().unwrap();
     let total_started =
         stats.spike_events + stats.storm_events + stats.stall_events + stats.squeeze_events;
@@ -155,7 +144,7 @@ fn fault_events_carry_seed_and_cycle_and_match_injector_totals() {
 fn recorded_run_exports_and_round_trips() {
     let (mut sys, mut ctl) = fresh_run(Some(42));
     let mut rec = RingRecorder::default();
-    ctl.try_run_recorded(&mut sys, INTERVALS, &mut rec).unwrap();
+    ctl.try_run(&mut sys, INTERVALS, &mut rec, None).unwrap();
     let summary = RunSummary {
         total_cycles: sys.now(),
         health: Some(ctl.health().to_telemetry()),
