@@ -9,7 +9,9 @@ pub mod repro;
 use lpm_core::burst::{BurstStudy, DetectionResult};
 use lpm_core::design_space::{measure_config, HwConfig, TableIRow};
 use lpm_core::profile::{profile_workload, WorkloadProfile, FIG5_L1_SIZES};
-use lpm_core::sched::{evaluate_schedule, fig8_policies, NucaLayout, ScheduleEvaluation};
+use lpm_core::sched::{
+    evaluate_schedule, fig8_policies, profile_traces, NucaLayout, ScheduleEvaluation,
+};
 use lpm_sim::SystemConfig;
 use lpm_trace::{Generator, SpecWorkload};
 
@@ -75,7 +77,8 @@ pub fn fig67_profiles(instructions: usize, seed: u64) -> Vec<WorkloadProfile> {
 
 /// Regenerate Fig. 8: the four scheduling policies on the 16-core Fig. 5
 /// CMP, evaluated by harmonic weighted speedup. Requires the Fig. 6/7
-/// profiles (pass the result of [`fig67_profiles`]).
+/// profiles (pass the result of [`fig67_profiles`]). Each workload's
+/// trace is generated once and shared by all four schedules.
 pub fn fig8_results(
     profiles: &[WorkloadProfile],
     instructions: usize,
@@ -83,8 +86,11 @@ pub fn fig8_results(
 ) -> Vec<ScheduleEvaluation> {
     let layout = NucaLayout::fig5();
     let base = study_config();
+    let traces = profile_traces(profiles, instructions, seed);
     par_map(&fig8_policies(3), |&kind| {
-        evaluate_schedule(kind, &layout, profiles, &base, instructions, seed)
+        evaluate_schedule(kind, &layout, profiles, &traces, &base, instructions, seed)
+            // lpm-lint: allow(P001) plain-value driver: the Fig. 8 CMP on valid configs and windows (`check_window`) converging is a simulator invariant
+            .unwrap_or_else(|e| panic!("Fig. 8 {kind:?} CMP: {e}"))
     })
 }
 

@@ -8,7 +8,7 @@
 
 use lpm_cache::{BypassPolicy, Policy, PrefetchKind};
 use lpm_core::burst::BurstStudy;
-use lpm_core::sched::NucaLayout;
+use lpm_core::sched::{check_window, NucaLayout};
 use lpm_core::validation::{summarize, validate_stall_model};
 use lpm_dram::config::SchedPolicy;
 use lpm_model::example;
@@ -52,6 +52,11 @@ macro_rules! w {
 /// default when `None`; `fig1` and `intervals` take no window).
 pub fn render(target: &str, instructions: Option<usize>) -> Result<String, String> {
     let half = instructions.unwrap_or(FULL_INSTRUCTIONS / 2);
+    if matches!(target, "fig8" | "all") {
+        // Up front: `fig8_results` panics on a window it cannot measure,
+        // and `all` would otherwise run every earlier driver first.
+        check_window(half).map_err(|e| format!("repro {target}: {e}"))?;
+    }
     match target {
         "fig1" => render_fig1(),
         "table1" => Ok(render_table1(instructions.unwrap_or(FULL_INSTRUCTIONS))),

@@ -48,6 +48,10 @@ fn run(raw: &[String]) -> Result<u8, String> {
         // `bench` parses its own flags, where `--quick` is a switch.
         return lpm_bench::bench::cli_run(&raw[1..]);
     }
+    if accepted_flags(&raw[0]).is_some() && raw[1..].iter().any(|s| s == "--help" || s == "-h") {
+        print_help();
+        return Ok(0);
+    }
     let a = args::parse(raw)?;
     if let Some(accepted) = accepted_flags(&a.command) {
         a.reject_unknown_flags(accepted)?;
@@ -1114,9 +1118,30 @@ mod tests {
         assert!(e.contains("`lpm-cli workloads`"), "{e}");
         let e = args::parse(&[]).unwrap_err();
         assert!(e.contains("`lpm-cli help`"), "{e}");
-        // `bench --help` prints the bench flags instead of rejecting
-        // `--help` as unknown.
+        // `--help`/`-h` after any subcommand prints the usage instead of
+        // taking a value or being rejected as unknown; `bench --help`
+        // prints the bench flags.
         assert_eq!(run(&sv(&["bench", "--help"])), Ok(0));
+        for cmd in [
+            "run",
+            "sweep",
+            "repro",
+            "explore",
+            "online",
+            "serve",
+            "client",
+            "journal",
+            "workloads",
+            "trace-dump",
+        ] {
+            for flag in ["--help", "-h"] {
+                assert_eq!(run(&sv(&[cmd, flag])), Ok(0), "{cmd} {flag}");
+            }
+        }
+        assert_eq!(
+            run(&sv(&["repro", "fig8", "--instructions", "1", "-h"])),
+            Ok(0)
+        );
         // `bench` parses its own flags: a trailing `--quick` is a switch
         // there, not a flag missing its value.
         let e = run(&sv(&["bench", "--tag", "bad tag", "--quick"])).unwrap_err();
@@ -1241,6 +1266,11 @@ mod tests {
                 "{}: {e}",
                 cmd[0]
             );
+        }
+        // A Fig. 8 window of one instruction measures nothing.
+        for target in ["fig8", "all"] {
+            let e = run(&sv(&["repro", target, "--instructions", "1"])).unwrap_err();
+            assert!(e.contains("at least 2 instructions"), "{target}: {e}");
         }
         let e = run(&sv(&["repro", "fig9"])).unwrap_err();
         assert!(e.contains("unknown repro target"), "{e}");

@@ -241,23 +241,35 @@ pub struct ScheduleEvaluation {
 
 /// Run an assignment on the heterogeneous CMP and measure Hsp.
 ///
-/// Each core executes `instructions` instructions of its workload (traces
-/// regenerated with `seed`). `IPC_alone` is the workload's best standalone
-/// IPC across the profiled L1 sizes — its entitlement when given adequate
-/// resources — so Hsp penalizes both shared-resource contention *and*
-/// undersized placement (assigning a cache-hungry program to a small L1
-/// shows up as lost speedup, exactly what the scheduling study compares).
+/// `traces[w]` is the trace of `profiles[w]`'s workload; the traces are
+/// shared, so every schedule evaluated over one trace set runs the same
+/// programs without copying them. Each core executes `instructions`
+/// instructions of its workload (see [`check_window`]). `IPC_alone` is the
+/// workload's best standalone IPC across the profiled L1 sizes — its
+/// entitlement when given adequate resources — so Hsp penalizes both
+/// shared-resource contention *and* undersized placement (assigning a
+/// cache-hungry program to a small L1 shows up as lost speedup, exactly
+/// what the scheduling study compares).
 pub fn evaluate_schedule(
     kind: SchedulerKind,
     layout: &NucaLayout,
     profiles: &[WorkloadProfile],
+    traces: &[Trace],
     base: &SystemConfig,
     instructions: usize,
     seed: u64,
-) -> ScheduleEvaluation {
+) -> Result<ScheduleEvaluation, SimError> {
+    check_window(instructions)?;
+    if traces.len() != profiles.len() {
+        return Err(SimError::InvalidConfig(format!(
+            "one trace per profiled workload ({} profiles, {} traces)",
+            profiles.len(),
+            traces.len()
+        )));
+    }
     let assignment = Scheduler::new(kind).assign(layout, profiles);
     let mut slots = Vec::with_capacity(layout.cores());
-    let mut traces = Vec::with_capacity(layout.cores());
+    let mut core_traces = Vec::with_capacity(layout.cores());
     for core in 0..layout.cores() {
         let w = assignment.mapping[core];
         let mut l1 = base.l1.clone();
@@ -269,16 +281,9 @@ pub fn evaluate_schedule(
             core: base.core,
             l1,
         });
-        traces.push(
-            profiles[w]
-                .workload
-                .generator()
-                .generate(instructions, seed),
-        );
+        core_traces.push(traces[w].clone());
     }
-    let cmp = run_shared(slots, base, traces, instructions as u64, seed)
-        // lpm-lint: allow(P001) plain-value driver: the Fig. 8 CMP on valid configs converging is a simulator invariant
-        .unwrap_or_else(|e| panic!("Fig. 8 {kind:?} CMP: {e}"));
+    let cmp = run_shared(slots, base, core_traces, instructions as u64, seed)?;
 
     let mut ipc_shared = Vec::with_capacity(layout.cores());
     let mut ipc_alone = Vec::with_capacity(layout.cores());
@@ -292,7 +297,7 @@ pub fn evaluate_schedule(
     }
     let hsp_entitled = harmonic_weighted_speedup(&ipc_alone, &ipc_shared);
     let hsp = harmonic_weighted_speedup(&ipc_alone_assigned, &ipc_shared);
-    ScheduleEvaluation {
+    Ok(ScheduleEvaluation {
         scheduler: kind.name(),
         assignment,
         ipc_shared,
@@ -300,7 +305,29 @@ pub fn evaluate_schedule(
         ipc_alone_assigned,
         hsp_entitled,
         hsp,
+    })
+}
+
+/// Every profiled workload's trace of `instructions` instructions under
+/// `seed`, in profile order: the trace set [`evaluate_schedule`] takes.
+pub fn profile_traces(profiles: &[WorkloadProfile], instructions: usize, seed: u64) -> Vec<Trace> {
+    profiles
+        .iter()
+        .map(|p| p.workload.generator().generate(instructions, seed))
+        .collect()
+}
+
+/// Check a Fig. 8 window: the CMP warms every core up through half of
+/// `instructions` and then measures the other half, so a window below 2
+/// measures nothing and leaves no shared IPC to compare.
+pub fn check_window(instructions: usize) -> Result<(), SimError> {
+    if instructions < 2 {
+        return Err(SimError::InvalidConfig(format!(
+            "a Fig. 8 window needs at least 2 instructions per core (warm-up half and \
+             measured half), got {instructions}"
+        )));
     }
+    Ok(())
 }
 
 /// Rate mode: traces loop so fast programs never run dry while slow
@@ -400,22 +427,27 @@ mod tests {
         let ws = [SpecWorkload::GccLike, SpecWorkload::Bzip2Like];
         let profiles = tiny_profiles(&ws, &[4, 64]);
         let base = SystemConfig::default();
+        let traces = profile_traces(&profiles, 8_000, 3);
         let rr = evaluate_schedule(
             SchedulerKind::RoundRobin,
             &layout,
             &profiles,
+            &traces,
             &base,
             8_000,
             3,
-        );
+        )
+        .unwrap();
         let sa = evaluate_schedule(
             SchedulerKind::NucaSa { slack: 0.01 },
             &layout,
             &profiles,
+            &traces,
             &base,
             8_000,
             3,
-        );
+        )
+        .unwrap();
         assert!(
             sa.hsp_entitled > rr.hsp_entitled,
             "NUCA-SA entitled Hsp {} must beat pessimal RR {}",
@@ -437,24 +469,58 @@ mod tests {
         let ws = [SpecWorkload::Bzip2Like, SpecWorkload::GccLike];
         let profiles = tiny_profiles(&ws, &[4, 64]);
         let base = SystemConfig::default();
+        let traces = profile_traces(&profiles, 6_000, 3);
         let a = evaluate_schedule(
             SchedulerKind::RoundRobin,
             &layout,
             &profiles,
+            &traces,
             &base,
             6_000,
             3,
-        );
+        )
+        .unwrap();
         let b = evaluate_schedule(
             SchedulerKind::RoundRobin,
             &layout,
             &profiles,
+            &traces,
             &base,
             6_000,
             3,
-        );
+        )
+        .unwrap();
         assert_eq!(a.hsp, b.hsp);
         assert_eq!(a.hsp_entitled, b.hsp_entitled);
+    }
+
+    #[test]
+    fn empty_windows_and_missing_traces_are_typed_errors() {
+        let layout = NucaLayout::small(&[4, 64], 1);
+        let ws = [SpecWorkload::Bzip2Like, SpecWorkload::GccLike];
+        let profiles = tiny_profiles(&ws, &[4, 64]);
+        let base = SystemConfig::default();
+        let eval = |traces: &[Trace], n| {
+            evaluate_schedule(
+                SchedulerKind::RoundRobin,
+                &layout,
+                &profiles,
+                traces,
+                &base,
+                n,
+                3,
+            )
+        };
+        for n in [0, 1] {
+            let e = eval(&profile_traces(&profiles, 2, 3), n).unwrap_err();
+            assert!(e.to_string().contains("at least 2 instructions"), "{e}");
+        }
+        eval(&profile_traces(&profiles, 2, 3), 2).unwrap();
+        let e = eval(&profile_traces(&profiles[..1], 2, 3), 2).unwrap_err();
+        assert!(
+            e.to_string().contains("one trace per profiled workload"),
+            "{e}"
+        );
     }
 
     #[test]

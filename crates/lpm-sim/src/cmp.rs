@@ -2,9 +2,11 @@
 //! a shared banked L2 (the LLC), and shared DRAM — the substrate of both
 //! case studies.
 //!
-//! Workloads are multiprogrammed: each core's trace is relocated into a
-//! disjoint address region, exactly like the paper's SPEC rate-style
-//! setup, so no coherence protocol is required (documented in DESIGN.md).
+//! Workloads are multiprogrammed: each core runs in a disjoint address
+//! region, exactly like the paper's SPEC rate-style setup, so no
+//! coherence protocol is required (documented in DESIGN.md). Traces are
+//! shared, immutable buffers; a core's region base is applied at its L1
+//! port, so sixteen cores running one program read one copy of it.
 //!
 //! # Per-cycle order of operations
 //!
@@ -46,6 +48,7 @@ pub struct CoreSlot {
 }
 
 /// Address-space bits reserved per core; traces must fit below this.
+/// Core `i`'s region starts at `i << CORE_SPACE_BITS`.
 const CORE_SPACE_BITS: u32 = 36;
 /// Bit position where shared-level request tags start.
 const TAG_SHIFT: u32 = 44;
@@ -121,14 +124,20 @@ pub struct Cmp {
     last_progress_cycle: u64,
 }
 
+/// Core `i`'s view of its L1: every address the core presents is moved
+/// into the core's region by OR-ing in `base` (`i << CORE_SPACE_BITS`).
+/// Traces are validated below `1 << CORE_SPACE_BITS`, so this is the
+/// same address as `addr + base`.
 struct L1Port<'a> {
     l1: &'a mut Cache,
+    base: u64,
 }
 
 impl MemoryPort for L1Port<'_> {
     fn try_access(&mut self, now: u64, id: u64, addr: u64, is_store: bool) -> bool {
         matches!(
-            self.l1.access(now, AccessId(id), addr, is_store),
+            self.l1
+                .access(now, AccessId(id), addr | self.base, is_store),
             AccessResponse::Accepted
         )
     }
@@ -136,7 +145,8 @@ impl MemoryPort for L1Port<'_> {
 
 impl Cmp {
     /// Build a CMP. `slots[i]` configures core `i`, which executes
-    /// `traces[i]` relocated into its own address region, looping it
+    /// `traces[i]` in its own address region (its L1 port adds the
+    /// region base; the trace itself is shared, not copied), looping it
     /// `repeats` times (rate mode: no program runs dry while slower
     /// co-runners are still being measured). The shared side of the
     /// hierarchy is the chain `shared_cfgs[0] → shared_cfgs[1] → … →
@@ -186,7 +196,7 @@ impl Cmp {
         let mut cores = Vec::with_capacity(n);
         let mut l1s = Vec::with_capacity(n);
         let mut l1_analyzers = Vec::with_capacity(n);
-        for (i, (slot, mut trace)) in slots.into_iter().zip(traces).enumerate() {
+        for (i, (slot, trace)) in slots.into_iter().zip(traces).enumerate() {
             slot.core.validate().map_err(SimError::InvalidConfig)?;
             slot.l1.validate().map_err(SimError::InvalidConfig)?;
             if slot.l1.line_bytes != l2.line_bytes {
@@ -202,7 +212,6 @@ impl Cmp {
                     "trace addresses must fit in {CORE_SPACE_BITS} bits, found {max_addr:#x}"
                 ));
             }
-            trace.relocate((i as u64) << CORE_SPACE_BITS);
             let analyzer = CacheAnalyzer::new(slot.l1.hit_latency);
             l1s.push(Cache::new(slot.l1, seed.wrapping_add(i as u64)));
             l1_analyzers.push(analyzer);
@@ -533,7 +542,8 @@ impl Cmp {
             }
             let core = &mut self.cores[i];
             let l1 = &mut self.l1s[i];
-            let mut port = L1Port { l1 };
+            let base = (i as u64) << CORE_SPACE_BITS;
+            let mut port = L1Port { l1, base };
             core.cycle(now, &mut port);
             if core.finished() && self.finished_at[i].is_none() {
                 self.finished_at[i] = Some(now + 1);
@@ -1098,16 +1108,23 @@ mod tests {
 
     #[test]
     fn two_cores_have_disjoint_footprints() {
-        let traces = vec![tiny_trace(2000), tiny_trace(2000)];
+        let mut alone = build(vec![slot(32)], vec![tiny_trace(2000)]).unwrap();
+        assert!(alone.try_run(1_000_000).unwrap());
+        let alone_misses = alone.l2_stats().primary_misses;
+        assert!(alone_misses > 0);
+        // One shared trace on two cores: each core's L1 port moves it
+        // into that core's region, so the cores behave alike and the L2
+        // cold-misses on twice the lines of a single run.
+        let trace = tiny_trace(2000);
+        let traces = vec![trace.clone(), trace];
         let mut cmp = build(vec![slot(32), slot(32)], traces).unwrap();
         assert!(cmp.try_run(1_000_000).unwrap());
-        // Identical traces, but relocated: both cores behave alike and
-        // the L2 saw roughly twice the lines of a single run.
         assert_eq!(cmp.core_stats(0).retired, 2000);
         assert_eq!(cmp.core_stats(1).retired, 2000);
         let mr0 = cmp.l1_counters(0).mr();
         let mr1 = cmp.l1_counters(1).mr();
         assert!((mr0 - mr1).abs() < 0.02, "symmetric cores diverged");
+        assert_eq!(cmp.l2_stats().primary_misses, 2 * alone_misses);
     }
 
     #[test]

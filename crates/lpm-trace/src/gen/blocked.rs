@@ -68,7 +68,7 @@ impl BlockedGen {
 impl Generator for BlockedGen {
     fn generate(&self, n: usize, seed: u64) -> Trace {
         let mut rng = rng_for(seed, 0xB10C);
-        let mut trace = Trace::new();
+        let mut instrs = Vec::with_capacity(n);
         // Current block origin and sweep position.
         let mut origin_r = 0u64;
         let mut origin_c = 0u64;
@@ -101,7 +101,7 @@ impl Generator for BlockedGen {
                     last_load_pos = Some(pos);
                     Op::Load(addr)
                 };
-                trace.push(Instr { op, dep: 0 });
+                instrs.push(Instr { op, dep: 0 });
             } else {
                 let dep = super::compute_dep(
                     pos,
@@ -111,13 +111,13 @@ impl Generator for BlockedGen {
                     &mut cc_chain,
                     &mut rng,
                 );
-                trace.push(Instr {
+                instrs.push(Instr {
                     op: Op::Compute,
                     dep,
                 });
             }
         }
-        trace
+        Trace::from_vec(instrs)
     }
 
     fn name(&self) -> &str {

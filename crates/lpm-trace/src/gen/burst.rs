@@ -75,7 +75,7 @@ impl BurstGen {
     pub fn generate_with_spans(&self, n: usize, seed: u64) -> (Trace, Vec<BurstSpan>) {
         let mut rng = rng_for(seed, 0xB057);
         let lines = (self.working_set / 64).max(1);
-        let mut trace = Trace::new();
+        let mut instrs = Vec::with_capacity(n);
         let mut spans = Vec::new();
         let mut pos = 0usize;
         let mut on = false;
@@ -96,18 +96,18 @@ impl BurstGen {
             for _ in 0..seg {
                 if rng.gen_bool(fmem) {
                     let addr = rng.gen_range(0..lines) * 64;
-                    trace.push(Instr {
+                    instrs.push(Instr {
                         op: Op::Load(addr),
                         dep: 0,
                     });
                 } else {
-                    trace.push(Instr::compute());
+                    instrs.push(Instr::compute());
                 }
             }
             pos += seg;
             on = !on;
         }
-        (trace, spans)
+        (Trace::from_vec(instrs), spans)
     }
 }
 

@@ -47,7 +47,7 @@ impl Generator for ChaseGen {
         let mut rng = rng_for(seed, 0xC4A5E);
         let lines = (self.working_set / self.line).max(1);
         let mut cur: u64 = rng.gen_range(0..lines);
-        let mut trace = Trace::new();
+        let mut instrs = Vec::with_capacity(n);
         let mut last_mem_pos: Option<usize> = None;
         let mut cc_chain: Option<usize> = None;
         let mut step: u64 = 0;
@@ -56,7 +56,7 @@ impl Generator for ChaseGen {
                 let addr = cur * self.line;
                 // Each load depends on the previous one — the chase.
                 let dep = last_mem_pos.map_or(0, |p| (pos - p) as u32);
-                trace.push(Instr {
+                instrs.push(Instr {
                     op: Op::Load(addr),
                     dep,
                 });
@@ -74,13 +74,13 @@ impl Generator for ChaseGen {
                     &mut cc_chain,
                     &mut rng,
                 );
-                trace.push(Instr {
+                instrs.push(Instr {
                     op: Op::Compute,
                     dep,
                 });
             }
         }
-        trace
+        Trace::from_vec(instrs)
     }
 
     fn name(&self) -> &str {

@@ -100,7 +100,7 @@ impl MixedGen {
 impl Generator for MixedGen {
     fn generate(&self, n: usize, seed: u64) -> Trace {
         let mut rng = rng_for(seed, 0x313D);
-        let mut trace = Trace::new();
+        let mut instrs = Vec::with_capacity(n);
         let mut cursors: Vec<u64> = (0..self.streams)
             .map(|s| STREAM_BASE + s as u64 * self.stream_region)
             .collect();
@@ -123,7 +123,7 @@ impl Generator for MixedGen {
                     &mut cc_chain,
                     &mut rng,
                 );
-                trace.push(Instr {
+                instrs.push(Instr {
                     op: Op::Compute,
                     dep,
                 });
@@ -142,7 +142,7 @@ impl Generator for MixedGen {
                     last_load_pos = Some(pos);
                     Op::Load(addr)
                 };
-                trace.push(Instr { op, dep: 0 });
+                instrs.push(Instr { op, dep: 0 });
             } else if x < self.mix.stream + self.mix.random {
                 let addr = RANDOM_BASE + rng.gen_range(0..random_lines) * 64;
                 let op = if rng.gen_bool(self.store_frac) {
@@ -151,11 +151,11 @@ impl Generator for MixedGen {
                     last_load_pos = Some(pos);
                     Op::Load(addr)
                 };
-                trace.push(Instr { op, dep: 0 });
+                instrs.push(Instr { op, dep: 0 });
             } else {
                 let addr = CHASE_BASE + chase_cur * 64;
                 let dep = last_chase_pos.map_or(0, |p| (pos - p) as u32);
-                trace.push(Instr {
+                instrs.push(Instr {
                     op: Op::Load(addr),
                     dep,
                 });
@@ -167,7 +167,7 @@ impl Generator for MixedGen {
                 chase_cur = mix64(chase_cur ^ seed ^ (chase_step << 20)) % chase_lines;
             }
         }
-        trace
+        Trace::from_vec(instrs)
     }
 
     fn name(&self) -> &str {

@@ -45,7 +45,7 @@ impl PhasedGen {
 
 impl Generator for PhasedGen {
     fn generate(&self, n: usize, seed: u64) -> Trace {
-        let mut trace = Trace::new();
+        let mut instrs = Vec::with_capacity(n);
         let mut produced = 0usize;
         let mut round = 0u64;
         'outer: loop {
@@ -56,9 +56,7 @@ impl Generator for PhasedGen {
                 }
                 // Decorrelate segments across rounds and phases.
                 let seg = g.generate(want, seed ^ (round << 8) ^ pi as u64);
-                for i in seg.iter() {
-                    trace.push(*i);
-                }
+                instrs.extend_from_slice(seg.instrs());
                 produced += want;
                 if produced == n {
                     break 'outer;
@@ -66,7 +64,7 @@ impl Generator for PhasedGen {
             }
             round += 1;
         }
-        trace
+        Trace::from_vec(instrs)
     }
 
     fn name(&self) -> &str {

@@ -65,7 +65,7 @@ impl StrideGen {
 impl Generator for StrideGen {
     fn generate(&self, n: usize, seed: u64) -> Trace {
         let mut rng = rng_for(seed, 0x5714);
-        let mut trace = Trace::new();
+        let mut instrs = Vec::with_capacity(n);
         // Stream s occupies [s*region, (s+1)*region).
         let mut cursors: Vec<u64> = (0..self.streams)
             .map(|s| {
@@ -88,7 +88,7 @@ impl Generator for StrideGen {
                     last_load_pos = Some(pos);
                     Op::Load(addr)
                 };
-                trace.push(Instr { op, dep: 0 });
+                instrs.push(Instr { op, dep: 0 });
             } else {
                 let dep = super::compute_dep(
                     pos,
@@ -98,13 +98,13 @@ impl Generator for StrideGen {
                     &mut cc_chain,
                     &mut rng,
                 );
-                trace.push(Instr {
+                instrs.push(Instr {
                     op: Op::Compute,
                     dep,
                 });
             }
         }
-        trace
+        Trace::from_vec(instrs)
     }
 
     fn name(&self) -> &str {

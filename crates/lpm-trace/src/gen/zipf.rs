@@ -71,7 +71,7 @@ impl Generator for ZipfLikeGen {
     fn generate(&self, n: usize, seed: u64) -> Trace {
         let mut rng = rng_for(seed, 0x21FF);
         let bounds = self.tier_bounds();
-        let mut trace = Trace::new();
+        let mut instrs = Vec::with_capacity(n);
         let mut last_load_pos: Option<usize> = None;
         let mut cc_chain: Option<usize> = None;
         for pos in 0..n {
@@ -91,7 +91,7 @@ impl Generator for ZipfLikeGen {
                     last_load_pos = Some(pos);
                     Op::Load(addr)
                 };
-                trace.push(Instr { op, dep: 0 });
+                instrs.push(Instr { op, dep: 0 });
             } else {
                 let dep = super::compute_dep(
                     pos,
@@ -101,13 +101,13 @@ impl Generator for ZipfLikeGen {
                     &mut cc_chain,
                     &mut rng,
                 );
-                trace.push(Instr {
+                instrs.push(Instr {
                     op: Op::Compute,
                     dep,
                 });
             }
         }
-        trace
+        Trace::from_vec(instrs)
     }
 
     fn name(&self) -> &str {

@@ -8,6 +8,8 @@
 //! values the analyzer observes — a pointer chase is simply a trace where
 //! every load depends on the previous load.
 
+use std::sync::Arc;
+
 /// Operation kind of one trace instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
@@ -79,20 +81,26 @@ impl Instr {
 }
 
 /// An instruction trace in program (retire) order.
+///
+/// The instructions live in one immutable, reference-counted buffer:
+/// `clone` shares it rather than copying it, so every core, perfect-cache
+/// run and profile point that executes the same program reads the same
+/// memory. Build a trace from a finished `Vec` ([`Trace::from_vec`]) or
+/// an iterator.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
-    instrs: Vec<Instr>,
+    // `Arc<Vec<_>>`, not `Arc<[_]>`: moving a `Vec` into an `Arc<[_]>`
+    // copies the whole buffer, and that transient second copy of every
+    // generated trace doubled a 400-point sweep's peak RSS (glibc malloc).
+    instrs: Arc<Vec<Instr>>,
 }
 
 impl Trace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Build from a vector of instructions.
     pub fn from_vec(instrs: Vec<Instr>) -> Self {
-        Self { instrs }
+        Self {
+            instrs: Arc::new(instrs),
+        }
     }
 
     /// Number of instructions.
@@ -105,11 +113,6 @@ impl Trace {
         self.instrs.is_empty()
     }
 
-    /// Append one instruction.
-    pub fn push(&mut self, i: Instr) {
-        self.instrs.push(i);
-    }
-
     /// The instructions, in program order.
     pub fn instrs(&self) -> &[Instr] {
         &self.instrs
@@ -120,19 +123,6 @@ impl Trace {
         self.instrs.iter()
     }
 
-    /// Relocate every memory address by `offset` bytes. Used by the CMP
-    /// harness to give each core a disjoint address space (multiprogrammed
-    /// workloads, as in the paper's SPEC setup).
-    pub fn relocate(&mut self, offset: u64) {
-        for i in &mut self.instrs {
-            i.op = match i.op {
-                Op::Load(a) => Op::Load(a + offset),
-                Op::Store(a) => Op::Store(a + offset),
-                Op::Compute => Op::Compute,
-            };
-        }
-    }
-
     /// Number of memory operations.
     pub fn mem_ops(&self) -> usize {
         self.instrs.iter().filter(|i| i.op.is_mem()).count()
@@ -141,9 +131,7 @@ impl Trace {
 
 impl FromIterator<Instr> for Trace {
     fn from_iter<T: IntoIterator<Item = Instr>>(iter: T) -> Self {
-        Trace {
-            instrs: iter.into_iter().collect(),
-        }
+        Trace::from_vec(iter.into_iter().collect())
     }
 }
 
@@ -177,23 +165,19 @@ mod tests {
     }
 
     #[test]
-    fn trace_push_and_count() {
-        let mut t = Trace::new();
-        assert!(t.is_empty());
-        t.push(Instr::compute());
-        t.push(Instr::load(0));
-        t.push(Instr::store(64));
+    fn trace_len_and_count() {
+        assert!(Trace::default().is_empty());
+        let t = Trace::from_vec(vec![Instr::compute(), Instr::load(0), Instr::store(64)]);
         assert_eq!(t.len(), 3);
         assert_eq!(t.mem_ops(), 2);
     }
 
     #[test]
-    fn relocate_shifts_only_memory_ops() {
-        let mut t = Trace::from_vec(vec![Instr::compute(), Instr::load(100), Instr::store(200)]);
-        t.relocate(1 << 40);
-        assert_eq!(t.instrs()[0].op, Op::Compute);
-        assert_eq!(t.instrs()[1].op, Op::Load(100 + (1 << 40)));
-        assert_eq!(t.instrs()[2].op, Op::Store(200 + (1 << 40)));
+    fn clones_share_one_buffer() {
+        let a = Trace::from_vec(vec![Instr::compute(), Instr::load(100)]);
+        let b = a.clone();
+        assert_eq!(a.instrs().as_ptr(), b.instrs().as_ptr());
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl Trace {
 
     /// Parse a trace from the plain-text format.
     pub fn read_from(r: impl BufRead) -> Result<Trace, ParseError> {
-        let mut trace = Trace::new();
+        let mut instrs = Vec::new();
         for (idx, line) in r.lines().enumerate() {
             let lineno = idx + 1;
             let line = line.map_err(|e| ParseError {
@@ -128,9 +128,9 @@ impl Trace {
             if parts.next().is_some() {
                 return Err(err("trailing tokens".into()));
             }
-            trace.push(instr);
+            instrs.push(instr);
         }
-        Ok(trace)
+        Ok(Trace::from_vec(instrs))
     }
 }
 

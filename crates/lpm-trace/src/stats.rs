@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        let s = TraceStats::measure(&Trace::new());
+        let s = TraceStats::measure(&Trace::default());
         assert_eq!(s.fmem, 0.0);
         assert_eq!(s.mem_ops, 0);
         assert_eq!(s.reuse_below(100), 0.0);

@@ -13,7 +13,7 @@
 //! ```
 
 use lpm::core::profile::profile_suite;
-use lpm::core::sched::evaluate_schedule;
+use lpm::core::sched::{evaluate_schedule, profile_traces};
 use lpm::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -58,7 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Evaluate the four scheduling policies of Fig. 8.
+    // Evaluate the four scheduling policies of Fig. 8 over one shared
+    // trace set.
+    let traces = profile_traces(&profiles, instructions, seed);
     println!("\n== harmonic weighted speedup (Fig. 8) ==");
     for kind in [
         SchedulerKind::Random { seed: 3 },
@@ -66,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SchedulerKind::NucaSa { slack: 0.10 },
         SchedulerKind::NucaSa { slack: 0.01 },
     ] {
-        let eval = evaluate_schedule(kind, &layout, &profiles, &base, instructions, seed);
+        let eval = evaluate_schedule(kind, &layout, &profiles, &traces, &base, instructions, seed)?;
         println!(
             "{:<14} Hsp = {:.4} (contention)   {:.4} (entitlement)",
             eval.scheduler, eval.hsp, eval.hsp_entitled

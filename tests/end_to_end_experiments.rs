@@ -5,7 +5,7 @@
 use lpm::core::burst::BurstStudy;
 use lpm::core::design_space::{measure_config, HwConfig};
 use lpm::core::profile::{profile_suite, FIG5_L1_SIZES};
-use lpm::core::sched::evaluate_schedule;
+use lpm::core::sched::{evaluate_schedule, profile_traces};
 use lpm::prelude::*;
 
 /// Table I shape: LPMR1 and relative stall fall from the starved
@@ -114,7 +114,12 @@ fn fig8_shape_small() {
     let profiles = profile_suite(&ws, &FIG5_L1_SIZES, &base, 12_000, 3).unwrap();
     // Entitlement Hsp (alone = best size) encodes placement quality even
     // when a small layout has little shared-resource contention.
-    let hsp = |kind| evaluate_schedule(kind, &layout, &profiles, &base, 12_000, 3).hsp_entitled;
+    let traces = profile_traces(&profiles, 12_000, 3);
+    let hsp = |kind| {
+        evaluate_schedule(kind, &layout, &profiles, &traces, &base, 12_000, 3)
+            .unwrap()
+            .hsp_entitled
+    };
     let random = hsp(SchedulerKind::Random { seed: 2 });
     let rr = hsp(SchedulerKind::RoundRobin);
     let fg = hsp(SchedulerKind::NucaSa { slack: 0.01 });
