@@ -1,17 +1,18 @@
 //! The tag array: sets × ways of line tags with dirty bits.
+//!
+//! Each way is one `u64` word, `tag << 3 | prefetched << 2 | dirty << 1 |
+//! valid`, and 0 is an invalid way. The array starts as zeroed memory, so
+//! only the pages of sets a run fills ever become resident: a large
+//! shared L2 that a short run touches sparsely costs what it holds.
 
 use crate::config::CacheConfig;
 use crate::replacement::ReplacementState;
 
-/// One way of one set.
-#[derive(Debug, Clone, Copy, Default)]
-struct WayEntry {
-    valid: bool,
-    dirty: bool,
-    /// Installed by a prefetch and not yet touched by demand.
-    prefetched: bool,
-    tag: u64,
-}
+const VALID: u64 = 1;
+const DIRTY: u64 = 1 << 1;
+/// Installed by a prefetch and not yet touched by demand.
+const PREFETCHED: u64 = 1 << 2;
+const TAG_SHIFT: u32 = 3;
 
 /// Outcome of installing a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,20 +31,24 @@ pub struct TagArray {
     sets: usize,
     assoc: usize,
     line_bytes: u64,
-    entries: Vec<WayEntry>,
+    /// One word per way, set-major (see the module doc for the layout).
+    ways: Vec<u64>,
     repl: ReplacementState,
 }
 
 impl TagArray {
     /// Build an empty array for `cfg`, seeding the (Random-policy) PRNG.
     pub fn new(cfg: &CacheConfig, seed: u64) -> Self {
+        // A line of at least 8 bytes leaves a tag below 2^61, so
+        // `tag << TAG_SHIFT` cannot drop tag bits.
+        assert!(cfg.line_bytes >= 8, "line size must be >= 8 bytes");
         let sets = cfg.sets() as usize;
         let assoc = cfg.assoc as usize;
         TagArray {
             sets,
             assoc,
             line_bytes: cfg.line_bytes,
-            entries: vec![WayEntry::default(); sets * assoc],
+            ways: vec![0; sets * assoc],
             repl: ReplacementState::new(cfg.policy, sets, assoc, seed),
         }
     }
@@ -59,32 +64,33 @@ impl TagArray {
         (tag * self.sets as u64 + set as u64) * self.line_bytes
     }
 
+    /// The way of `set` holding `tag`, if it is present.
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let want = tag << TAG_SHIFT | VALID;
+        let base = set * self.assoc;
+        self.ways[base..base + self.assoc]
+            .iter()
+            .position(|&w| w & !(DIRTY | PREFETCHED) == want)
+    }
+
     /// Look up a line; on hit updates replacement state and, for stores,
     /// the dirty bit. Returns `Some(first_prefetch_use)` on a hit — true
     /// exactly once per line that a prefetch installed and demand is now
     /// touching for the first time — and `None` on a miss.
     pub fn access(&mut self, line_addr: u64, is_store: bool) -> Option<bool> {
         let (set, tag) = self.decompose(line_addr);
-        for way in 0..self.assoc {
-            let e = &mut self.entries[set * self.assoc + way];
-            if e.valid && e.tag == tag {
-                e.dirty |= is_store;
-                let first_use = e.prefetched;
-                e.prefetched = false;
-                self.repl.on_hit(set, way);
-                return Some(first_use);
-            }
-        }
-        None
+        let way = self.find(set, tag)?;
+        let w = &mut self.ways[set * self.assoc + way];
+        let first_use = *w & PREFETCHED != 0;
+        *w = *w & !PREFETCHED | if is_store { DIRTY } else { 0 };
+        self.repl.on_hit(set, way);
+        Some(first_use)
     }
 
     /// Whether a line is present, without touching replacement state.
     pub fn probe(&self, line_addr: u64) -> bool {
         let (set, tag) = self.decompose(line_addr);
-        (0..self.assoc).any(|w| {
-            self.entries[set * self.assoc + w].valid
-                && self.entries[set * self.assoc + w].tag == tag
-        })
+        self.find(set, tag).is_some()
     }
 
     /// Install a line (after a fill), evicting a victim if the set is full.
@@ -93,46 +99,43 @@ impl TagArray {
     /// consumer yet.
     pub fn fill(&mut self, line_addr: u64, dirty: bool, prefetched: bool) -> FillOutcome {
         let (set, tag) = self.decompose(line_addr);
+        let base = set * self.assoc;
+        let dirty = if dirty { DIRTY } else { 0 };
         // Idempotence: a fill for a line already present updates it in
         // place (merging the dirty bit) instead of installing a duplicate.
         // The MSHR file normally prevents duplicate fills, but the array
         // must stay correct if one slips through.
-        for way in 0..self.assoc {
-            let e = &mut self.entries[set * self.assoc + way];
-            if e.valid && e.tag == tag {
-                e.dirty |= dirty;
-                e.prefetched &= prefetched;
-                self.repl.on_fill(set, way);
-                return FillOutcome {
-                    way,
-                    writeback: None,
-                    evicted_clean: None,
-                };
+        if let Some(way) = self.find(set, tag) {
+            let w = &mut self.ways[base + way];
+            *w |= dirty;
+            if !prefetched {
+                *w &= !PREFETCHED;
             }
+            self.repl.on_fill(set, way);
+            return FillOutcome {
+                way,
+                writeback: None,
+                evicted_clean: None,
+            };
         }
         // Prefer an invalid way.
-        let way = (0..self.assoc)
-            .find(|&w| !self.entries[set * self.assoc + w].valid)
-            .or_else(|| self.repl.victim(set, |_| true))
-            // lpm-lint: allow(P001) invariant: every way is evictable under the always-true predicate
-            .expect("victim selection cannot fail with evictable ways");
-        let prior = self.entries[set * self.assoc + way];
+        let way = self.ways[base..base + self.assoc]
+            .iter()
+            .position(|&w| w == 0)
+            .unwrap_or_else(|| self.repl.victim(set));
+        let prior = self.ways[base + way];
         let mut writeback = None;
         let mut evicted_clean = None;
-        if prior.valid {
-            let victim_addr = self.line_addr(set, prior.tag);
-            if prior.dirty {
+        if prior & VALID != 0 {
+            let victim_addr = self.line_addr(set, prior >> TAG_SHIFT);
+            if prior & DIRTY != 0 {
                 writeback = Some(victim_addr);
             } else {
                 evicted_clean = Some(victim_addr);
             }
         }
-        self.entries[set * self.assoc + way] = WayEntry {
-            valid: true,
-            dirty,
-            prefetched,
-            tag,
-        };
+        let prefetched = if prefetched { PREFETCHED } else { 0 };
+        self.ways[base + way] = tag << TAG_SHIFT | prefetched | dirty | VALID;
         self.repl.on_fill(set, way);
         FillOutcome {
             way,
@@ -141,38 +144,9 @@ impl TagArray {
         }
     }
 
-    /// Mark a present line dirty (store completing on a filled line).
-    /// No-op if the line is absent.
-    pub fn mark_dirty(&mut self, line_addr: u64) {
-        let (set, tag) = self.decompose(line_addr);
-        for way in 0..self.assoc {
-            let e = &mut self.entries[set * self.assoc + way];
-            if e.valid && e.tag == tag {
-                e.dirty = true;
-                return;
-            }
-        }
-    }
-
-    /// Invalidate a line if present; returns its address if it was dirty
-    /// (caller must write it back).
-    pub fn invalidate(&mut self, line_addr: u64) -> Option<u64> {
-        let (set, tag) = self.decompose(line_addr);
-        for way in 0..self.assoc {
-            let e = &mut self.entries[set * self.assoc + way];
-            if e.valid && e.tag == tag {
-                let was_dirty = e.dirty;
-                e.valid = false;
-                e.dirty = false;
-                return was_dirty.then_some(line_addr);
-            }
-        }
-        None
-    }
-
     /// Number of valid lines (for tests and occupancy reports).
     pub fn valid_lines(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
+        self.ways.iter().filter(|&&w| w & VALID != 0).count()
     }
 }
 
@@ -247,20 +221,45 @@ mod tests {
     fn fill_dirty_marks_line() {
         let cfg = small_cfg();
         let mut a = TagArray::new(&cfg, 0);
+        let set_stride = 4 * 64;
+        // Set 1: a dirty fill, then three clean ones.
         a.fill(64, true, false);
-        let wb = a.invalidate(64);
-        assert_eq!(wb, Some(64));
+        for i in 1..4u64 {
+            a.fill(64 + i * set_stride, false, false);
+        }
+        let f = a.fill(64 + 4 * set_stride, false, false);
+        assert_eq!(f.writeback, Some(64));
+        assert_eq!(f.evicted_clean, None);
+        let f = a.fill(64 + 5 * set_stride, false, false);
+        assert_eq!(f.writeback, None);
+        assert_eq!(f.evicted_clean, Some(64 + set_stride));
     }
 
     #[test]
-    fn mark_dirty_and_invalidate() {
+    fn store_hit_dirties_a_present_line_only() {
         let cfg = small_cfg();
         let mut a = TagArray::new(&cfg, 0);
+        let set_stride = 4 * 64;
+        // A store to an absent line is a miss that installs nothing.
+        assert_eq!(a.access(4096, true), None);
+        assert_eq!(a.valid_lines(), 0);
+        // Set 2: a store hit dirties the line, which is written back
+        // exactly once, when it is evicted.
         a.fill(128, false, false);
-        a.mark_dirty(128);
-        assert_eq!(a.invalidate(128), Some(128));
-        assert_eq!(a.invalidate(128), None); // already gone
-        a.mark_dirty(4096); // absent line: no-op
+        assert_eq!(a.access(128, true), Some(false));
+        for i in 1..4u64 {
+            a.fill(128 + i * set_stride, false, false);
+        }
+        let f = a.fill(128 + 4 * set_stride, false, false);
+        assert_eq!(f.writeback, Some(128));
+        assert!(!a.probe(128));
+        // Refilled clean, the line carries no stale dirty bit.
+        a.fill(128, false, false);
+        for i in 5..9u64 {
+            let f = a.fill(128 + i * set_stride, false, false);
+            assert_eq!(f.writeback, None);
+        }
+        assert!(!a.probe(128));
     }
 
     #[test]

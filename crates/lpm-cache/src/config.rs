@@ -123,6 +123,12 @@ impl CacheConfig {
                 self.assoc
             ));
         }
+        if self.policy == Policy::Plru && self.assoc > 64 {
+            return Err(format!(
+                "tree-PLRU supports at most 64 ways (one 64-bit tree per set), got {}",
+                self.assoc
+            ));
+        }
         if self.size_bytes < self.line_bytes * self.assoc as u64 {
             return Err(format!(
                 "cache too small for one set of {} ways",
@@ -213,6 +219,24 @@ mod tests {
         let mut c = CacheConfig::l1_default();
         c.size_bytes = 3000;
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn plru_wider_than_its_tree_is_rejected() {
+        let mut c = CacheConfig::l1_default();
+        c.policy = Policy::Plru;
+        c.size_bytes = 8 << 10; // one set of 128 ways
+        c.assoc = 128;
+        assert!(c.validate().unwrap_err().contains("at most 64 ways"));
+        c.size_bytes = 4 << 10; // one set of 64 ways: the widest tree
+        c.assoc = 64;
+        c.validate().unwrap();
+        let mut a = crate::array::TagArray::new(&c, 0);
+        for line in 0..130u64 {
+            a.fill(line * 64, false, false);
+            assert_eq!(a.access(line * 64, false), Some(false));
+        }
+        assert_eq!(a.valid_lines(), 64);
     }
 
     #[test]

@@ -51,6 +51,10 @@ impl ReplacementState {
                 assoc.is_power_of_two(),
                 "tree-PLRU needs power-of-two associativity"
             );
+            assert!(
+                assoc <= 64,
+                "tree-PLRU keeps one u64 tree per set: at most 64 ways"
+            );
         }
         ReplacementState {
             policy,
@@ -86,32 +90,18 @@ impl ReplacementState {
         }
     }
 
-    /// Choose a victim way in `set` among ways where `evictable(way)` is
-    /// true (the array masks out, e.g., nothing today, but the hook keeps
-    /// the door open for locked lines). Returns `None` if nothing is
-    /// evictable.
-    pub fn victim(&mut self, set: usize, evictable: impl Fn(usize) -> bool) -> Option<usize> {
-        let candidates: Vec<usize> = (0..self.assoc).filter(|&w| evictable(w)).collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        Some(match self.policy {
-            Policy::Lru | Policy::Fifo => *candidates
+    /// Choose the way to evict from the full `set`.
+    pub fn victim(&mut self, set: usize) -> usize {
+        match self.policy {
+            // The oldest stamp; the lowest way among equals.
+            Policy::Lru | Policy::Fifo => self.stamps[set * self.assoc..(set + 1) * self.assoc]
                 .iter()
-                .min_by_key(|&&w| self.stamps[set * self.assoc + w])
-                // lpm-lint: allow(P001) candidates verified non-empty at function entry
-                .expect("non-empty candidates"),
-            Policy::Random => candidates[self.rng.gen_range(0..candidates.len())],
-            Policy::Plru => {
-                let w = self.plru_victim(set);
-                if evictable(w) {
-                    w
-                } else {
-                    // Fall back to the first evictable way.
-                    candidates[0]
-                }
-            }
-        })
+                .enumerate()
+                .min_by_key(|&(_, &stamp)| stamp)
+                .map_or(0, |(way, _)| way),
+            Policy::Random => self.rng.gen_range(0..self.assoc),
+            Policy::Plru => self.plru_victim(set),
+        }
     }
 
     /// Flip the PLRU tree bits along the path to `way` so they point away
@@ -153,10 +143,6 @@ impl ReplacementState {
 mod tests {
     use super::*;
 
-    fn all(_w: usize) -> bool {
-        true
-    }
-
     #[test]
     fn lru_evicts_least_recent() {
         let mut r = ReplacementState::new(Policy::Lru, 1, 4, 0);
@@ -164,9 +150,9 @@ mod tests {
             r.on_fill(0, w);
         }
         r.on_hit(0, 0); // way 0 is now most recent; way 1 is LRU.
-        assert_eq!(r.victim(0, all), Some(1));
+        assert_eq!(r.victim(0), 1);
         r.on_hit(0, 1);
-        assert_eq!(r.victim(0, all), Some(2));
+        assert_eq!(r.victim(0), 2);
     }
 
     #[test]
@@ -176,7 +162,7 @@ mod tests {
             r.on_fill(0, w);
         }
         r.on_hit(0, 0); // FIFO: does not refresh way 0.
-        assert_eq!(r.victim(0, all), Some(0));
+        assert_eq!(r.victim(0), 0);
     }
 
     #[test]
@@ -184,8 +170,8 @@ mod tests {
         let mut a = ReplacementState::new(Policy::Random, 1, 8, 42);
         let mut b = ReplacementState::new(Policy::Random, 1, 8, 42);
         for _ in 0..32 {
-            let va = a.victim(0, all).unwrap();
-            let vb = b.victim(0, all).unwrap();
+            let va = a.victim(0);
+            let vb = b.victim(0);
             assert_eq!(va, vb);
             assert!(va < 8);
         }
@@ -199,29 +185,18 @@ mod tests {
         for w in 0..4 {
             r.on_fill(0, w);
         }
-        let v = r.victim(0, all).unwrap();
+        let v = r.victim(0);
         assert_eq!(v, 0);
         // Touch 0: victim must no longer be 0.
         r.on_hit(0, 0);
-        assert_ne!(r.victim(0, all).unwrap(), 0);
+        assert_ne!(r.victim(0), 0);
     }
 
     #[test]
     fn plru_single_way() {
         let mut r = ReplacementState::new(Policy::Plru, 1, 1, 0);
         r.on_fill(0, 0);
-        assert_eq!(r.victim(0, all), Some(0));
-    }
-
-    #[test]
-    fn victim_respects_evictability_mask() {
-        let mut r = ReplacementState::new(Policy::Lru, 1, 4, 0);
-        for w in 0..4 {
-            r.on_fill(0, w);
-        }
-        // Only way 3 evictable.
-        assert_eq!(r.victim(0, |w| w == 3), Some(3));
-        assert_eq!(r.victim(0, |_| false), None);
+        assert_eq!(r.victim(0), 0);
     }
 
     #[test]
@@ -231,8 +206,8 @@ mod tests {
         r.on_fill(0, 1);
         r.on_fill(1, 1);
         r.on_fill(1, 0);
-        assert_eq!(r.victim(0, all), Some(0));
-        assert_eq!(r.victim(1, all), Some(1));
+        assert_eq!(r.victim(0), 0);
+        assert_eq!(r.victim(1), 1);
     }
 
     #[test]

@@ -1,25 +1,44 @@
 //! Differential testing: the production tag array against a naive
-//! reference model, and the timed cache against basic liveness/uniqueness
-//! laws, under randomized operation sequences.
+//! reference model (randomized, and exhaustively on tiny arrays), and
+//! the timed cache against basic liveness/uniqueness laws, under
+//! randomized operation sequences.
 
 use lpm_cache::array::TagArray;
 use lpm_cache::{AccessId, BypassPolicy, Cache, CacheConfig, Policy, PrefetchKind};
 use proptest::prelude::*;
 
-/// A deliberately naive fully-explicit LRU set-associative cache.
-#[derive(Debug)]
-struct ReferenceLru {
-    sets: usize,
-    assoc: usize,
-    /// Per set: (tag, dirty), most recently used LAST.
-    ways: Vec<Vec<(u64, bool)>>,
+/// One line held by the reference model.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    tag: u64,
+    dirty: bool,
+    prefetched: bool,
 }
 
-impl ReferenceLru {
-    fn new(sets: usize, assoc: usize) -> Self {
-        ReferenceLru {
+/// What one eviction dropped: `(writeback, evicted_clean)`.
+type Evicted = (Option<u64>, Option<u64>);
+
+/// A deliberately naive set-associative cache under LRU or FIFO.
+#[derive(Debug)]
+struct Reference {
+    sets: usize,
+    assoc: usize,
+    /// LRU moves a hit line to the back; FIFO leaves it in place.
+    refresh_on_hit: bool,
+    /// Per set: the lines in eviction order, the next victim FIRST.
+    ways: Vec<Vec<Line>>,
+}
+
+impl Reference {
+    fn new(sets: usize, assoc: usize, policy: Policy) -> Self {
+        Reference {
             sets,
             assoc,
+            refresh_on_hit: match policy {
+                Policy::Lru => true,
+                Policy::Fifo => false,
+                other => panic!("no reference for {other:?}"),
+            },
             ways: vec![Vec::new(); sets],
         }
     }
@@ -29,40 +48,158 @@ impl ReferenceLru {
         ((idx as usize) % self.sets, idx / self.sets as u64)
     }
 
-    fn access(&mut self, line_addr: u64, is_store: bool) -> bool {
+    /// `Some(first_prefetch_use)` on a hit, `None` on a miss.
+    fn access(&mut self, line_addr: u64, is_store: bool) -> Option<bool> {
         let (s, tag) = self.decompose(line_addr);
         let set = &mut self.ways[s];
-        if let Some(pos) = set.iter().position(|&(t, _)| t == tag) {
-            let (t, d) = set.remove(pos);
-            set.push((t, d || is_store));
-            true
-        } else {
-            false
+        let pos = set.iter().position(|l| l.tag == tag)?;
+        let mut line = set[pos];
+        let first_use = line.prefetched;
+        line.dirty |= is_store;
+        line.prefetched = false;
+        set[pos] = line;
+        if self.refresh_on_hit {
+            set.remove(pos);
+            set.push(line);
         }
+        Some(first_use)
     }
 
-    /// Install; returns the dirty victim line, if any. A fill for a
-    /// present line refreshes it in place (dirty-merging), like the
-    /// production array.
-    fn fill(&mut self, line_addr: u64, dirty: bool) -> Option<u64> {
+    /// Install a line. A fill for a present line merges its flags and
+    /// counts as a fresh fill under both policies, like the production
+    /// array.
+    fn fill(&mut self, line_addr: u64, dirty: bool, prefetched: bool) -> Evicted {
         let (s, tag) = self.decompose(line_addr);
-        let assoc = self.assoc;
-        let sets = self.sets;
+        let (assoc, sets) = (self.assoc, self.sets as u64);
         let set = &mut self.ways[s];
-        if let Some(pos) = set.iter().position(|&(t, _)| t == tag) {
-            let (t, d) = set.remove(pos);
-            set.push((t, d || dirty));
-            return None;
+        if let Some(pos) = set.iter().position(|l| l.tag == tag) {
+            let mut line = set.remove(pos);
+            line.dirty |= dirty;
+            line.prefetched &= prefetched;
+            set.push(line);
+            return (None, None);
         }
-        let mut wb = None;
+        let mut evicted = (None, None);
         if set.len() == assoc {
-            let (vt, vd) = set.remove(0);
-            if vd {
-                wb = Some((vt * sets as u64 + s as u64) * 64);
+            let victim = set.remove(0);
+            let addr = (victim.tag * sets + s as u64) * 64;
+            evicted = if victim.dirty {
+                (Some(addr), None)
+            } else {
+                (None, Some(addr))
+            };
+        }
+        set.push(Line {
+            tag,
+            dirty,
+            prefetched,
+        });
+        evicted
+    }
+}
+
+/// One tag-array operation on a line: demand loads and stores, and
+/// fills that arrive clean, dirty (a write-allocate store miss) or
+/// prefetched.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Load,
+    Store,
+    Fill,
+    DirtyFill,
+    PrefetchFill,
+}
+
+const OPS: [Op; 5] = [
+    Op::Load,
+    Op::Store,
+    Op::Fill,
+    Op::DirtyFill,
+    Op::PrefetchFill,
+];
+
+/// What one operation reports: a lookup's `Some(first_prefetch_use)`
+/// or miss, or what a fill evicted.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Lookup(Option<bool>),
+    Fill(Evicted),
+}
+
+/// Apply `op` to both models and compare every outcome the array
+/// reports: hit/miss with the first-prefetch-use flag, the dirty
+/// writeback and the clean eviction.
+fn step(
+    real: &mut TagArray,
+    reference: &mut Reference,
+    line_addr: u64,
+    op: Op,
+) -> Result<(), String> {
+    let (got, want) = match op {
+        Op::Load | Op::Store => {
+            let is_store = matches!(op, Op::Store);
+            (
+                Outcome::Lookup(real.access(line_addr, is_store)),
+                Outcome::Lookup(reference.access(line_addr, is_store)),
+            )
+        }
+        Op::Fill | Op::DirtyFill | Op::PrefetchFill => {
+            let (dirty, prefetched) = (matches!(op, Op::DirtyFill), matches!(op, Op::PrefetchFill));
+            let out = real.fill(line_addr, dirty, prefetched);
+            (
+                Outcome::Fill((out.writeback, out.evicted_clean)),
+                Outcome::Fill(reference.fill(line_addr, dirty, prefetched)),
+            )
+        }
+    };
+    if got == want {
+        Ok(())
+    } else {
+        Err(format!(
+            "{op:?} {line_addr:#x}: array {got:?}, reference {want:?}"
+        ))
+    }
+}
+
+fn tiny_cfg(sets: u64, policy: Policy) -> CacheConfig {
+    CacheConfig {
+        size_bytes: sets * 2 * 64,
+        assoc: 2,
+        policy,
+        ..small_cfg()
+    }
+}
+
+/// Every sequence of `len` operations over `lines` on a `sets` × 2
+/// array, under `policy`, agrees with the reference after every step.
+/// Checking each step covers every shorter sequence too. Returns the
+/// number of sequences run.
+fn exhaustive(sets: u64, lines: &[u64], len: u32, policy: Policy) -> usize {
+    let symbols = lines.len() * OPS.len();
+    let total = symbols.pow(len);
+    for mut code in 0..total {
+        let mut real = TagArray::new(&tiny_cfg(sets, policy), 0);
+        let mut reference = Reference::new(sets as usize, 2, policy);
+        let mut done = Vec::new();
+        for _ in 0..len {
+            let (line, op) = (lines[code % symbols / OPS.len()], OPS[code % OPS.len()]);
+            code /= symbols;
+            done.push((line, op));
+            if let Err(e) = step(&mut real, &mut reference, line * 64, op) {
+                panic!("{policy:?} {sets}x2 after {done:?}: {e}");
             }
         }
-        set.push((tag, dirty));
-        wb
+    }
+    total
+}
+
+#[test]
+fn tiny_arrays_match_the_reference_on_every_short_sequence() {
+    for policy in [Policy::Lru, Policy::Fifo] {
+        // One set: three lines compete for two ways.
+        assert_eq!(exhaustive(1, &[0, 1, 2], 4, policy), 15usize.pow(4));
+        // Two sets: lines 0, 2 and 4 share set 0, line 1 has set 1.
+        assert_eq!(exhaustive(2, &[0, 1, 2, 4], 4, policy), 20usize.pow(4));
     }
 }
 
@@ -84,28 +221,20 @@ fn small_cfg() -> CacheConfig {
 }
 
 proptest! {
-    /// The production LRU tag array and the reference model agree on every
-    /// hit/miss outcome and every dirty writeback, for any interleaving of
-    /// accesses and fills.
+    /// The production tag array and the reference model agree on every
+    /// outcome, under LRU and FIFO, for any interleaving of demand
+    /// accesses and clean, dirty or prefetched fills.
     #[test]
-    fn tag_array_matches_reference_lru(
-        ops in proptest::collection::vec((0u64..64, any::<bool>(), any::<bool>()), 1..300),
+    fn tag_array_matches_reference(
+        ops in proptest::collection::vec((0u64..64, 0usize..OPS.len()), 1..300),
     ) {
-        let cfg = small_cfg();
-        let mut real = TagArray::new(&cfg, 0);
-        let mut reference = ReferenceLru::new(8, 4);
-        for (line_idx, is_store, do_fill) in ops {
-            let addr = line_idx * 64;
-            if do_fill {
-                let out = real.fill(addr, is_store, false);
-                let ref_wb = reference.fill(addr, is_store);
-                prop_assert_eq!(out.writeback, ref_wb,
-                    "writeback divergence at fill {:#x}", addr);
-            } else {
-                let real_hit = real.access(addr, is_store).is_some();
-                let ref_hit = reference.access(addr, is_store);
-                prop_assert_eq!(real_hit, ref_hit,
-                    "hit/miss divergence at access {:#x}", addr);
+        for policy in [Policy::Lru, Policy::Fifo] {
+            let cfg = CacheConfig { policy, ..small_cfg() };
+            let mut real = TagArray::new(&cfg, 0);
+            let mut reference = Reference::new(8, 4, policy);
+            for &(line_idx, op) in &ops {
+                let stepped = step(&mut real, &mut reference, line_idx * 64, OPS[op]);
+                prop_assert_eq!(stepped, Ok(()), "{:?}", policy);
             }
         }
     }

@@ -326,8 +326,14 @@ fn system_config_from(a: &Args) -> Result<SystemConfig, String> {
     Ok(cfg)
 }
 
+/// `--instructions`: a positive count that one trace can hold.
+fn instructions_or(a: &Args, default: u64) -> Result<usize, String> {
+    let n = a.positive_int_or("instructions", default)?;
+    lpm_trace::check_trace_len(n).map_err(|e| format!("--instructions: {e}"))
+}
+
 fn trace_from(a: &Args, w: SpecWorkload) -> Result<(Trace, usize, u64), String> {
-    let n = a.positive_int_or("instructions", 60_000)? as usize;
+    let n = instructions_or(a, 60_000)?;
     let seed = a.int_or("seed", 7)?;
     Ok((w.generator().generate(n, seed), n, seed))
 }
@@ -442,7 +448,7 @@ fn cmd_repro(a: &Args) -> Result<(), String> {
         )
     })?;
     let instructions = match a.options.get("instructions") {
-        Some(_) => Some(a.positive_int_or("instructions", 0)? as usize),
+        Some(_) => Some(instructions_or(a, 0)?),
         None => None,
     };
     print!("{}", lpm_bench::repro::render(target, instructions)?);
@@ -514,7 +520,7 @@ fn cmd_online(a: &Args) -> Result<(), String> {
     use std::fmt::Write as _;
 
     let w = workload_from(a)?;
-    let n = a.positive_int_or("instructions", 600_000)? as usize;
+    let n = instructions_or(a, 600_000)?;
     let seed = a.int_or("seed", 7)?;
     let interval = a.int_or("interval", 20_000)?;
     let grain = grain_from(a, 0.50)?;
@@ -1266,6 +1272,22 @@ mod tests {
                 "{}: {e}",
                 cmd[0]
             );
+        }
+        // A count no `Vec<Instr>` can be sized for is a typed error, not
+        // a capacity-overflow panic, in every subcommand that takes one.
+        for cmd in [
+            &["run", "--workload", "gcc"][..],
+            &["explore", "--workload", "gcc"],
+            &["online", "--workload", "gcc"],
+            &["trace-dump", "--workload", "gcc"],
+            &["repro", "table1"],
+            &["sweep"],
+        ] {
+            for n in ["18446744073709551615", "768614336404564650"] {
+                let argv: Vec<&str> = cmd.iter().chain(&["--instructions", n]).copied().collect();
+                let e = run(&sv(&argv)).unwrap_err();
+                assert!(e.contains("do not fit in one trace"), "{} {n}: {e}", cmd[0]);
+            }
         }
         // A Fig. 8 window of one instruction measures nothing.
         for target in ["fig8", "all"] {

@@ -352,6 +352,7 @@ impl SweepSpec {
         if self.instructions == 0 {
             return Err("sweep needs at least one instruction per trace".into());
         }
+        lpm_trace::check_trace_len(self.instructions as u64)?;
         if self.loop_repeats == 0 {
             return Err("sweep needs at least one pass over each trace (loop_repeats)".into());
         }
@@ -564,12 +565,21 @@ mod tests {
         assert!(short(5_999).validate().is_ok());
         // The product saturates instead of wrapping.
         let huge = SweepSpec {
-            instructions: usize::MAX,
+            instructions: lpm_trace::MAX_TRACE_LEN,
             loop_repeats: u32::MAX,
             warmup_instructions: u64::MAX - 1,
             ..SweepSpec::default()
         };
         assert!(huge.validate().is_ok());
+        // One more instruction than a trace can hold cannot be sized.
+        let oversized = SweepSpec {
+            instructions: lpm_trace::MAX_TRACE_LEN + 1,
+            ..SweepSpec::default()
+        };
+        assert!(oversized
+            .validate()
+            .unwrap_err()
+            .contains("do not fit in one trace"));
     }
 
     #[test]

@@ -383,6 +383,16 @@ mod tests {
         let rej = decode_spec(&wire).unwrap_err();
         assert_eq!(rej.reason(), "invalid-spec");
         assert!(rej.detail().contains("loop_repeats"), "{rej:?}");
+        // A count no trace can be sized for is rejected here, not left
+        // to panic in a worker.
+        let oversized = SweepSpec {
+            instructions: usize::MAX,
+            ..SweepSpec::default()
+        };
+        let wire = lpm_harness::spec_to_json(&oversized).unwrap();
+        let rej = decode_spec(&wire).unwrap_err();
+        assert_eq!(rej.reason(), "invalid-spec");
+        assert!(rej.detail().contains("do not fit in one trace"), "{rej:?}");
     }
 
     #[test]

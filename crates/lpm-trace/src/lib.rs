@@ -38,6 +38,6 @@ pub mod spec;
 pub mod stats;
 
 pub use gen::Generator;
-pub use record::{Instr, Op, Trace};
+pub use record::{check_trace_len, Instr, Op, Trace, MAX_TRACE_LEN};
 pub use spec::SpecWorkload;
 pub use stats::TraceStats;

@@ -80,6 +80,24 @@ impl Instr {
     }
 }
 
+/// The most instructions one trace can hold: a `Vec<Instr>` spans at
+/// most `isize::MAX` bytes, and a longer one cannot even be sized.
+pub const MAX_TRACE_LEN: usize = isize::MAX as usize / std::mem::size_of::<Instr>();
+
+/// Check an instruction count from outside the program: `Ok` with the
+/// count when a trace of that length can be sized, an error naming
+/// the limit when it cannot. A count under [`MAX_TRACE_LEN`] can
+/// still exceed the host's memory; that is a resource limit, not a
+/// malformed count.
+pub fn check_trace_len(n: u64) -> Result<usize, String> {
+    usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= MAX_TRACE_LEN)
+        .ok_or_else(|| {
+            format!("{n} instructions do not fit in one trace (at most {MAX_TRACE_LEN})")
+        })
+}
+
 /// An instruction trace in program (retire) order.
 ///
 /// The instructions live in one immutable, reference-counted buffer:
